@@ -239,18 +239,12 @@ uint32_t Uproxy::StripeSite(const FileHandle& fh, uint64_t offset, uint32_t repl
                        static_cast<uint32_t>(config_.storage_nodes.size()), replica);
 }
 
-Uproxy::RouteDecision Uproxy::SelectRoute(const DecodedRequest& req) {
-  return SelectRouteImpl(req.proc, req.fh, req.name, req.offset);
-}
-
 Uproxy::RouteDecision Uproxy::SelectRoute(const DecodedView& req, ByteSpan payload) {
-  return SelectRouteImpl(req.proc, req.fh, req.name(payload), req.offset);
-}
-
-Uproxy::RouteDecision Uproxy::SelectRouteImpl(NfsProc proc, const FileHandle& fh,
-                                              std::string_view name, uint64_t offset) {
+  const FileHandle& fh = req.fh;
+  const std::string_view name = req.name(payload);
+  const uint64_t offset = req.offset;
   RouteDecision out;
-  switch (proc) {
+  switch (req.proc) {
     case NfsProc::kNull:
     case NfsProc::kFsstat:
     case NfsProc::kFsinfo:
@@ -319,7 +313,7 @@ Uproxy::RouteDecision Uproxy::SelectRouteImpl(NfsProc proc, const FileHandle& fh
         return out;
       }
       const uint32_t replication = std::max<uint32_t>(1, fh.replication());
-      if (proc == NfsProc::kWrite && replication > 1) {
+      if (req.proc == NfsProc::kWrite && replication > 1) {
         out.cls = RouteClass::kMirrorWrite;
         return out;
       }

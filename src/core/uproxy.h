@@ -201,8 +201,7 @@ class Uproxy : public PacketTap {
     Nfsstat3 error = Nfsstat3::kOk;  // synthesized status (kUnavailable)
   };
 
-  RouteDecision SelectRoute(const DecodedRequest& req);
-  // Fast-path variant over the cached single-pass view: `payload` is the UDP
+  // Routes a request from its cached single-pass view: `payload` is the UDP
   // payload the view was decoded from (names are payload offsets).
   RouteDecision SelectRoute(const DecodedView& req, ByteSpan payload);
 
@@ -248,11 +247,6 @@ class Uproxy : public PacketTap {
   obs::TraceContext BeginTrace(Pending& pending, const char* route);
   // Records the root span for a completed operation ending at `end`.
   void FinishTrace(const Pending& pending, SimTime end);
-
-  // Routing core shared by both SelectRoute overloads; `name` views into
-  // whichever representation the caller holds.
-  RouteDecision SelectRouteImpl(NfsProc proc, const FileHandle& fh, std::string_view name,
-                                uint64_t offset);
 
   // Simple rewrite-and-forward path (allocation-free in steady state).
   void ForwardRequest(Packet&& pkt, const DecodedView& req, Endpoint target,

@@ -279,43 +279,52 @@ void Network::Transmit(Packet&& pkt) {
     tracer_->RecordSpan(src, ctx, obs::SpanCat::kWire, "wire_tx", tx_start, arrival);
   }
 
-  // Receiver-side serialization is applied at arrival time; the packet rides
-  // the flight heap instead of a heap-allocated closure capture.
+  // Receiver-side serialization is applied at arrival time; the packet waits
+  // in a flight slot instead of a heap-allocated closure capture.
   Flight f;
-  f.due = arrival;
   f.stage = FlightStage::kArrive;
   f.wire = wire;
   f.ctx = ctx;
   f.pkt = std::move(pkt);
-  PushFlight(std::move(f));
+  PushFlight(arrival, std::move(f));
 }
 
-void Network::PushFlight(Flight&& f) {
-  if (f.due < queue_.now()) {
-    f.due = queue_.now();  // mirror the queue's clamp so pairing stays exact
+void Network::PushFlight(SimTime due, Flight&& f) {
+  uint32_t slot;
+  if (free_flights_.empty()) {
+    slot = static_cast<uint32_t>(flights_.size());
+    flights_.push_back(std::move(f));
+  } else {
+    slot = free_flights_.back();
+    free_flights_.pop_back();
+    flights_[slot] = std::move(f);
   }
-  f.seq = flight_seq_++;
-  queue_.ScheduleDrainAt(f.due, &Network::DrainThunk, this);
-  flights_.push(std::move(f));
+  queue_.ScheduleDrainAt(due, &Network::DrainThunk, this, slot);
 }
 
-void Network::DrainThunk(void* sink) { static_cast<Network*>(sink)->DrainFlights(); }
-
-void Network::DrainFlights() {
-  // One flight per paired drain; absorbing consumes further same-instant
-  // drains for this network so a burst of simultaneous arrivals costs one
-  // event dispatch instead of one each.
-  do {
-    ProcessOneFlight();
-  } while (queue_.AbsorbNextDrain(this));
+Packet Network::TakeFlight(uint32_t slot) {
+  Flight& f = flights_[slot];
+  f.guard.reset();
+  free_flights_.push_back(slot);
+  return std::move(f.pkt);
 }
 
-void Network::ProcessOneFlight() {
-  SLICE_CHECK(!flights_.empty());
-  Flight f = std::move(const_cast<Flight&>(flights_.top()));
-  flights_.pop();
-  SLICE_CHECK(f.due == queue_.now());
+void Network::DrainThunk(void* sink, uint32_t slot) {
+  // One flight per drain; absorbing consumes further same-instant drains for
+  // this network so a burst of simultaneous arrivals costs one event
+  // dispatch instead of one each.
+  auto* net = static_cast<Network*>(sink);
+  net->ProcessFlight(slot);
+  while (net->queue_.PeekDrain(net, &slot)) {
+    net->queue_.AbsorbDrain();
+    net->ProcessFlight(slot);
+  }
+}
 
+void Network::ProcessFlight(uint32_t slot) {
+  // Handlers may push flights, which can reallocate the slab: every path
+  // that calls out first takes its packet out of the slot.
+  Flight& f = flights_[slot];
   switch (f.stage) {
     case FlightStage::kArrive: {
       const NetAddr dst = f.pkt.dst_addr();
@@ -327,11 +336,13 @@ void Network::ProcessOneFlight() {
         obs::LogEvent(eventlog_, dst, queue_.now(), obs::EventSev::kWarn, obs::EventCat::kNet,
                       obs::EventCode::kPacketDrop, f.ctx.trace_id, "dst_dead",
                       {{"src", f.pkt.src_addr()}, {"bytes", static_cast<int64_t>(f.pkt.size())}});
+        TakeFlight(slot);  // dropped: the packet dies here
         return;
       }
       auto it = hosts_.find(dst);
       if (it == hosts_.end()) {
         ++packets_dropped_;
+        TakeFlight(slot);  // dropped: the packet dies here
         return;
       }
       const SimTime rx_start = std::max(it->second.rx.busy_until(), queue_.now());
@@ -345,9 +356,9 @@ void Network::ProcessOneFlight() {
         }
         tracer_->RecordSpan(dst, f.ctx, obs::SpanCat::kWire, "wire_rx", rx_start, rx_done);
       }
-      f.due = rx_done;
+      // The flight keeps its slot; only its drain moves on.
       f.stage = FlightStage::kDeliver;
-      PushFlight(std::move(f));
+      queue_.ScheduleDrainAt(rx_done, &Network::DrainThunk, this, slot);
       return;
     }
     case FlightStage::kDeliver: {
@@ -361,60 +372,57 @@ void Network::ProcessOneFlight() {
         obs::LogEvent(eventlog_, addr, queue_.now(), obs::EventSev::kWarn, obs::EventCat::kNet,
                       obs::EventCode::kPacketDrop, f.ctx.trace_id, "dst_dead",
                       {{"src", f.pkt.src_addr()}, {"bytes", static_cast<int64_t>(f.pkt.size())}});
+        TakeFlight(slot);  // dropped: the packet dies here
         return;
       }
       obs::Inc(host_it->second.m_pkts_rx);
-      if (host_it->second.tap != nullptr) {
-        if (batching_enabled_) {
-          // Flight-at-a-time delivery: extend this dispatch over the run of
-          // same-instant deliveries to the same tapped host. Each extension
-          // first absorbs the flight's paired drain (keeping flights and
-          // drains 1:1) and only then pops the flight; an interleaved
-          // foreign event makes AbsorbNextDrain fail and ends the batch, so
-          // global ordering is exactly what per-flight dispatch produced.
-          // No handler runs during collection, so the host/failed state
-          // checked above cannot change mid-batch.
-          batch_.clear();
-          batch_.push_back(std::move(f.pkt));
-          while (!flights_.empty()) {
-            const Flight& top = flights_.top();
-            if (top.stage != FlightStage::kDeliver || top.due != queue_.now() ||
-                top.pkt.dst_addr() != addr) {
-              break;
-            }
-            if (!queue_.AbsorbNextDrain(this)) {
-              break;
-            }
-            Flight g = std::move(const_cast<Flight&>(flights_.top()));
-            flights_.pop();
-            obs::Inc(host_it->second.m_pkts_rx);
-            batch_.push_back(std::move(g.pkt));
+      if (host_it->second.tap != nullptr && batching_enabled_) {
+        // Flight-at-a-time delivery: extend this dispatch over the run of
+        // same-instant deliveries to the same tapped host. The queue's next
+        // drain names the next flight; an interleaved foreign event fails
+        // the peek and ends the batch, so global ordering is exactly what
+        // per-flight dispatch produced. No handler runs during collection,
+        // so the host/failed state checked above cannot change mid-batch.
+        batch_.clear();
+        batch_.push_back(TakeFlight(slot));
+        uint32_t next;
+        while (queue_.PeekDrain(this, &next)) {
+          const Flight& g = flights_[next];
+          if (g.stage != FlightStage::kDeliver || g.pkt.dst_addr() != addr) {
+            break;
           }
-          host_it->second.tap->HandleInboundBatch(std::span<Packet>(batch_));
-          batch_.clear();
-        } else {
-          host_it->second.tap->HandleInbound(std::move(f.pkt));
+          queue_.AbsorbDrain();
+          obs::Inc(host_it->second.m_pkts_rx);
+          batch_.push_back(TakeFlight(next));
         }
+        host_it->second.tap->HandleInboundBatch(std::span<Packet>(batch_));
+        batch_.clear();
+        return;
+      }
+      Packet pkt = TakeFlight(slot);
+      if (host_it->second.tap != nullptr) {
+        host_it->second.tap->HandleInbound(std::move(pkt));
       } else {
-        host_it->second.handler(std::move(f.pkt));
+        host_it->second.handler(std::move(pkt));
       }
       return;
     }
-    case FlightStage::kInject: {
-      if (f.guard == nullptr || *f.guard) {
-        Transmit(std::move(f.pkt));
-      }
-      return;
-    }
-    case FlightStage::kLocal: {
-      if (f.guard == nullptr || *f.guard) {
-        DeliverLocal(f.local_addr, std::move(f.pkt));
-      }
-      return;
-    }
+    case FlightStage::kInject:
+    case FlightStage::kLocal:
     case FlightStage::kSend: {
-      if (f.guard == nullptr || *f.guard) {
-        Send(std::move(f.pkt));
+      const FlightStage stage = f.stage;
+      const NetAddr local_addr = f.local_addr;
+      const bool live = f.guard == nullptr || *f.guard;
+      Packet pkt = TakeFlight(slot);
+      if (!live) {
+        return;
+      }
+      if (stage == FlightStage::kInject) {
+        Transmit(std::move(pkt));
+      } else if (stage == FlightStage::kLocal) {
+        DeliverLocal(local_addr, std::move(pkt));
+      } else {
+        Send(std::move(pkt));
       }
       return;
     }
@@ -423,31 +431,28 @@ void Network::ProcessOneFlight() {
 
 void Network::InjectAt(Packet&& pkt, SimTime ready, std::shared_ptr<const bool> guard) {
   Flight f;
-  f.due = ready;
   f.stage = FlightStage::kInject;
   f.guard = std::move(guard);
   f.pkt = std::move(pkt);
-  PushFlight(std::move(f));
+  PushFlight(ready, std::move(f));
 }
 
 void Network::SendAt(Packet&& pkt, SimTime ready, std::shared_ptr<const bool> guard) {
   Flight f;
-  f.due = ready;
   f.stage = FlightStage::kSend;
   f.guard = std::move(guard);
   f.pkt = std::move(pkt);
-  PushFlight(std::move(f));
+  PushFlight(ready, std::move(f));
 }
 
 void Network::DeliverLocalAt(NetAddr addr, Packet&& pkt, SimTime ready,
                              std::shared_ptr<const bool> guard) {
   Flight f;
-  f.due = ready;
   f.stage = FlightStage::kLocal;
   f.local_addr = addr;
   f.guard = std::move(guard);
   f.pkt = std::move(pkt);
-  PushFlight(std::move(f));
+  PushFlight(ready, std::move(f));
 }
 
 void Network::DeliverLocal(NetAddr addr, Packet&& pkt) {

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -101,7 +100,7 @@ class Network {
   // tap. Used by taps to hand accepted packets to their host.
   void DeliverLocal(NetAddr addr, Packet&& pkt);
 
-  // Deferred tap API (allocation-free): the packet rides the flight heap
+  // Deferred tap API (allocation-free): the packet waits in a flight slot
   // until `ready` (e.g. the µproxy's CPU-done time) and then enters the wire
   // / the local host, replacing the make_shared<Packet>+closure idiom. A
   // `guard` that reads false at dispatch drops the packet silently — the
@@ -112,7 +111,7 @@ class Network {
   // Deferred host send (allocation-free): at `ready` the packet enters the
   // normal Send path — outbound tap first, then the wire. This is the RPC
   // server's deferred reply: the encoded reply moves into a pooled packet
-  // buffer immediately and rides the flight heap to its service-done
+  // buffer immediately and waits in a flight slot until its service-done
   // instant, replacing a heap-allocated ScheduleAt closure.
   void SendAt(Packet&& pkt, SimTime ready, std::shared_ptr<const bool> guard = nullptr);
 
@@ -188,14 +187,11 @@ class Network {
     uint64_t* prof_ledger = nullptr;
   };
 
-  // In-flight packets, ordered exactly like the event queue orders their
-  // paired drain events. Every PushFlight schedules one drain for this
-  // network at the flight's due time; every drain dispatch (or absorption)
-  // processes exactly one flight. The two sequences are order-isomorphic —
-  // (due, seq) here, (when, seq) in the queue, both seq counters assigned at
-  // the same call site — so the k-th drain always finds its own flight on
-  // top of this heap. Same-instant arrivals therefore coalesce into one
-  // event dispatch (AbsorbNextDrain) without any observable reordering.
+  // In-flight packets live in a slab; the event queue alone orders them.
+  // Every pending flight has exactly one drain event for this network whose
+  // payload is the flight's slot, so a drain processes the flight it names.
+  // Same-instant drains coalesce into one event dispatch (PeekDrain /
+  // AbsorbDrain) without any observable reordering.
   enum class FlightStage : uint8_t {
     kArrive,   // switch hop done; acquire receiver NIC
     kDeliver,  // receiver serialization done; hand to tap/handler
@@ -204,29 +200,20 @@ class Network {
     kSend,     // deferred host send (SendAt): outbound tap, then the wire
   };
   struct Flight {
-    SimTime due = 0;
-    uint64_t seq = 0;
     FlightStage stage = FlightStage::kArrive;
     SimTime wire = 0;        // serialization time, reused for the rx side
     NetAddr local_addr = 0;  // kLocal destination
     obs::TraceContext ctx;
-    std::shared_ptr<const bool> guard;  // kInject/kLocal liveness
+    std::shared_ptr<const bool> guard;  // kInject/kLocal/kSend liveness
     Packet pkt;
   };
-  struct FlightLater {
-    bool operator()(const Flight& a, const Flight& b) const {
-      if (a.due != b.due) {
-        return a.due > b.due;
-      }
-      return a.seq > b.seq;
-    }
-  };
 
-  static void DrainThunk(void* sink);
-  void DrainFlights();
-  void ProcessOneFlight();
-  // Assigns the flight's seq, schedules its paired drain, and enqueues it.
-  void PushFlight(Flight&& f);
+  static void DrainThunk(void* sink, uint32_t slot);
+  void ProcessFlight(uint32_t slot);
+  // Parks a flight in a free slot and schedules its drain at `due`.
+  void PushFlight(SimTime due, Flight&& f);
+  // Frees the slot and hands back its packet.
+  Packet TakeFlight(uint32_t slot);
 
   void Transmit(Packet&& pkt);
   void RegisterHostMetrics(NetAddr addr);
@@ -250,8 +237,8 @@ class Network {
   std::unordered_map<NetAddr, bool> failed_;
   std::unordered_map<uint64_t, LinkShape> link_shapes_;  // LinkKey(src,dst)
   std::unordered_map<NetAddr, SimTime> host_extra_delay_;
-  std::priority_queue<Flight, std::vector<Flight>, FlightLater> flights_;
-  uint64_t flight_seq_ = 0;
+  std::vector<Flight> flights_;
+  std::vector<uint32_t> free_flights_;
   // Scratch for flight-batched tap delivery (capacity reused across
   // dispatches; never touched re-entrantly — tap handlers only push new
   // flights, they cannot re-enter the drain).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/obs/metrics_export.h"
 
 namespace slice::obs {
@@ -362,14 +363,6 @@ uint64_t Profiler::MinCoverageBp() const {
   return min_bp;
 }
 
-uint64_t Profiler::ProfileSimHash() const {
-  const std::string json = ExportProfileSimJson();
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  for (unsigned char c : json) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+uint64_t Profiler::ProfileSimHash() const { return Fnv1a64(ExportProfileSimJson()); }
 
 }  // namespace slice::obs

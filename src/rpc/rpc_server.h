@@ -10,8 +10,8 @@
 // Fast-path discipline (DESIGN.md, server-side pools): the reply envelope is
 // encoded into a member scratch encoder, the DRC is a fixed reply ring plus
 // a flat open-addressing index, the completion token is a concrete value
-// (not a std::function), and the deferred reply send rides the network
-// flight heap — so a steady-state served request never touches the heap.
+// (not a std::function), and the deferred reply send waits in a network
+// flight slot — so a steady-state served request never touches the heap.
 #ifndef SLICE_RPC_RPC_SERVER_H_
 #define SLICE_RPC_RPC_SERVER_H_
 

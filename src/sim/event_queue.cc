@@ -9,7 +9,8 @@ void EventQueue::Push(SimTime when, Action action, bool background) {
   if (!background) {
     ++foreground_pending_;
   }
-  heap_.push(Event{when, next_seq_++, background, std::move(action)});
+  heap_.push(Event{
+      .when = when, .seq = next_seq_++, .background = background, .action = std::move(action)});
 }
 
 void EventQueue::ScheduleAt(SimTime when, Action action) {
@@ -20,8 +21,7 @@ void EventQueue::ScheduleBackgroundAt(SimTime when, Action action) {
   Push(when, std::move(action), true);
 }
 
-void EventQueue::ScheduleDrainAt(SimTime when, DrainFn fn, void* sink,
-                                 std::shared_ptr<const bool> guard) {
+void EventQueue::ScheduleDrainAt(SimTime when, DrainFn fn, void* sink, uint32_t payload) {
   if (when < now_) {
     when = now_;
   }
@@ -32,13 +32,13 @@ void EventQueue::ScheduleDrainAt(SimTime when, DrainFn fn, void* sink,
   ev.when = when;
   ev.seq = next_seq_++;
   ev.background = in_background_;
+  ev.drain_payload = payload;
   ev.drain_fn = fn;
   ev.drain_sink = sink;
-  ev.guard = std::move(guard);
   heap_.push(std::move(ev));
 }
 
-bool EventQueue::AbsorbNextDrain(void* sink) {
+bool EventQueue::PeekDrain(const void* sink, uint32_t* payload) const {
   if (heap_.empty()) {
     return false;
   }
@@ -46,28 +46,28 @@ bool EventQueue::AbsorbNextDrain(void* sink) {
   if (top.drain_fn == nullptr || top.drain_sink != sink || top.when != now_) {
     return false;
   }
-  Event ev = std::move(const_cast<Event&>(heap_.top()));
+  *payload = top.drain_payload;
+  return true;
+}
+
+void EventQueue::AbsorbDrain() {
+  SLICE_CHECK(!heap_.empty() && heap_.top().drain_fn != nullptr && heap_.top().when == now_);
+  const bool background = heap_.top().background;
   heap_.pop();
   ++executed_;
-  if (!ev.background) {
+  if (!background) {
     SLICE_CHECK(foreground_pending_ > 0);
     --foreground_pending_;
   }
-  // The caller keeps processing inside the current dispatch; anything it
-  // schedules while handling this unit inherits the absorbed event's
-  // background status, exactly as if the drain had fired on its own. RunOne
-  // restores the pre-dispatch status afterwards.
-  in_background_ = ev.background;
-  return true;
+  // The caller keeps processing inside the current dispatch; RunOne restores
+  // the pre-dispatch status afterwards.
+  in_background_ = background;
 }
 
 bool EventQueue::RunOne() {
   if (heap_.empty()) {
     return false;
   }
-  // priority_queue::top returns const&; move out via const_cast is the
-  // standard idiom but UB-adjacent, so copy the small fields and move the
-  // action through a local pop-then-run.
   Event ev = std::move(const_cast<Event&>(heap_.top()));
   heap_.pop();
   SLICE_CHECK(ev.when >= now_);
@@ -83,9 +83,7 @@ bool EventQueue::RunOne() {
     dispatch_hook_(dispatch_hook_ctx_, /*begin=*/true);
   }
   if (ev.drain_fn != nullptr) {
-    if (ev.guard == nullptr || *ev.guard) {
-      ev.drain_fn(ev.drain_sink);
-    }
+    ev.drain_fn(ev.drain_sink, ev.drain_payload);
   } else {
     ev.action();
   }

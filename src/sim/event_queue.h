@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -62,24 +61,27 @@ class EventQueue {
 
   // --- batched drains (allocation-free scheduling) ---
   //
-  // A drain event carries a plain function pointer and a sink instead of a
+  // A drain event carries a plain function pointer, a sink and a 32-bit
+  // payload (e.g. the sink's slot index for the unit of work) instead of a
   // std::function, so scheduling one never allocates a closure. Drains obey
-  // the same (time, seq) FIFO order as ordinary events. `guard`, when set, is
-  // checked at dispatch: a false guard turns the drain into a no-op (the
-  // owner died), mirroring the shared-alive-flag idiom used by closures.
-  using DrainFn = void (*)(void* sink);
-  void ScheduleDrainAt(SimTime when, DrainFn fn, void* sink,
-                       std::shared_ptr<const bool> guard = nullptr);
+  // the same (time, seq) FIFO order as ordinary events.
+  using DrainFn = void (*)(void* sink, uint32_t payload);
+  void ScheduleDrainAt(SimTime when, DrainFn fn, void* sink, uint32_t payload);
 
   // Callable only from inside a running drain: if the queue's next event is
-  // another drain for the same `sink` at the current time, consume it and
-  // return true — the caller then processes one more unit of its own backlog
-  // in this dispatch. Because absorption only ever takes the queue's *top*
-  // event, it cannot reorder anything: any interleaved event (same time,
-  // smaller seq) blocks absorption and runs first, exactly as if each drain
-  // had fired separately. This is how same-instant packet arrivals at a host
-  // coalesce into one event dispatch without perturbing determinism.
-  bool AbsorbNextDrain(void* sink);
+  // another drain for the same `sink` at the current time, stores its
+  // payload and returns true without consuming it. The caller may then
+  // AbsorbDrain() it and process that unit inside the current dispatch.
+  // Because absorption only ever takes the queue's *top* event, it cannot
+  // reorder anything: any interleaved event (same time, smaller seq) blocks
+  // the peek and runs first, exactly as if each drain had fired separately.
+  // This is how same-instant packet arrivals at a host coalesce into one
+  // event dispatch without perturbing determinism.
+  bool PeekDrain(const void* sink, uint32_t* payload) const;
+  // Consumes the drain a successful PeekDrain just reported. It counts as
+  // executed, and work scheduled while handling it inherits its background
+  // status, exactly as if it had fired on its own.
+  void AbsorbDrain();
 
   // Runs the earliest event; returns false if the queue is empty.
   bool RunOne();
@@ -110,10 +112,10 @@ class EventQueue {
     SimTime when;
     uint64_t seq;
     bool background;
-    Action action;                 // empty for drain events
-    DrainFn drain_fn = nullptr;    // non-null marks a drain event
+    uint32_t drain_payload = 0;
+    Action action;               // empty for drain events
+    DrainFn drain_fn = nullptr;  // non-null marks a drain event
     void* drain_sink = nullptr;
-    std::shared_ptr<const bool> guard;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {

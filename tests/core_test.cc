@@ -95,8 +95,8 @@ TEST(RequestDecodeTest, ReadFields) {
   const Bytes wire = EncodeCall(NfsProc::kRead, [](XdrEncoder& enc) {
     ReadArgs{RegFh(7), 65536, 32768}.Encode(enc);
   });
-  DecodedRequest req;
-  ASSERT_TRUE(DecodeNfsRequest(wire, &req).ok());
+  DecodedView req;
+  ASSERT_TRUE(DecodeNfsRequestView(wire, &req).ok());
   EXPECT_EQ(req.proc, NfsProc::kRead);
   EXPECT_EQ(req.fh.fileid(), 7u);
   EXPECT_EQ(req.offset, 65536u);
@@ -114,8 +114,8 @@ TEST(RequestDecodeTest, WriteCarriesStability) {
     args.data = {1, 2, 3};
     args.Encode(enc);
   });
-  DecodedRequest req;
-  ASSERT_TRUE(DecodeNfsRequest(wire, &req).ok());
+  DecodedView req;
+  ASSERT_TRUE(DecodeNfsRequestView(wire, &req).ok());
   EXPECT_EQ(req.stable, StableHow::kFileSync);
   EXPECT_EQ(req.count, 3u);
 }
@@ -124,9 +124,9 @@ TEST(RequestDecodeTest, LookupName) {
   const Bytes wire = EncodeCall(NfsProc::kLookup, [](XdrEncoder& enc) {
     DirOpArgs{DirFh(1), "target"}.Encode(enc);
   });
-  DecodedRequest req;
-  ASSERT_TRUE(DecodeNfsRequest(wire, &req).ok());
-  EXPECT_EQ(req.name, "target");
+  DecodedView req;
+  ASSERT_TRUE(DecodeNfsRequestView(wire, &req).ok());
+  EXPECT_EQ(req.name(wire), "target");
   EXPECT_TRUE(req.fh.IsDir());
 }
 
@@ -134,10 +134,10 @@ TEST(RequestDecodeTest, RenameBothPairs) {
   const Bytes wire = EncodeCall(NfsProc::kRename, [](XdrEncoder& enc) {
     RenameArgs{DirFh(1), "a", DirFh(2), "b"}.Encode(enc);
   });
-  DecodedRequest req;
-  ASSERT_TRUE(DecodeNfsRequest(wire, &req).ok());
-  EXPECT_EQ(req.name, "a");
-  EXPECT_EQ(req.name2, "b");
+  DecodedView req;
+  ASSERT_TRUE(DecodeNfsRequestView(wire, &req).ok());
+  EXPECT_EQ(req.name(wire), "a");
+  EXPECT_EQ(req.name2(wire), "b");
   EXPECT_EQ(req.fh2.fileid(), 2u);
 }
 
@@ -145,11 +145,11 @@ TEST(RequestDecodeTest, LinkRoutesByDirEntry) {
   const Bytes wire = EncodeCall(NfsProc::kLink, [](XdrEncoder& enc) {
     LinkArgs{RegFh(9), DirFh(1), "alias"}.Encode(enc);
   });
-  DecodedRequest req;
-  ASSERT_TRUE(DecodeNfsRequest(wire, &req).ok());
+  DecodedView req;
+  ASSERT_TRUE(DecodeNfsRequestView(wire, &req).ok());
   EXPECT_EQ(req.fh.fileid(), 1u);   // the directory
   EXPECT_EQ(req.fh2.fileid(), 9u);  // the file
-  EXPECT_EQ(req.name, "alias");
+  EXPECT_EQ(req.name(wire), "alias");
 }
 
 TEST(RequestDecodeTest, SetattrSizeExtraction) {
@@ -159,8 +159,8 @@ TEST(RequestDecodeTest, SetattrSizeExtraction) {
     args.new_attributes.size = 777;
     args.Encode(enc);
   });
-  DecodedRequest req;
-  ASSERT_TRUE(DecodeNfsRequest(wire, &req).ok());
+  DecodedView req;
+  ASSERT_TRUE(DecodeNfsRequestView(wire, &req).ok());
   EXPECT_EQ(req.offset, 777u);
   EXPECT_EQ(req.count, 1u);
 }
@@ -168,8 +168,8 @@ TEST(RequestDecodeTest, SetattrSizeExtraction) {
 TEST(RequestDecodeTest, NonNfsRejected) {
   RpcCall call;
   call.prog = 200001;  // not NFS
-  DecodedRequest req;
-  EXPECT_FALSE(DecodeNfsRequest(call.Encode(), &req).ok());
+  DecodedView req;
+  EXPECT_FALSE(DecodeNfsRequestView(call.Encode(), &req).ok());
 }
 
 TEST(RequestDecodeTest, ReplyPeek) {
@@ -258,8 +258,13 @@ class RouteSelectionTest : public ::testing::Test {
     ensemble_ = std::make_unique<Ensemble>(queue_, config);
   }
 
-  Uproxy::RouteDecision Route(const DecodedRequest& req) {
-    return ensemble_->uproxy(0).SelectRoute(req);
+  // Routes `req` with `name` as its name component, read from a payload
+  // that holds just those bytes.
+  Uproxy::RouteDecision Route(DecodedView req, std::string_view name = {}) {
+    req.name_off = 0;
+    req.name_len = static_cast<uint32_t>(name.size());
+    const ByteSpan payload(reinterpret_cast<const uint8_t*>(name.data()), name.size());
+    return ensemble_->uproxy(0).SelectRoute(req, payload);
   }
 
   EventQueue queue_;
@@ -267,7 +272,7 @@ class RouteSelectionTest : public ::testing::Test {
 };
 
 TEST_F(RouteSelectionTest, SmallIoBelowThreshold) {
-  DecodedRequest req;
+  DecodedView req;
   req.proc = NfsProc::kRead;
   req.fh = RegFh(MakeFileid(0, 5));
   req.offset = 0;
@@ -278,7 +283,7 @@ TEST_F(RouteSelectionTest, SmallIoBelowThreshold) {
 }
 
 TEST_F(RouteSelectionTest, BulkIoAboveThreshold) {
-  DecodedRequest req;
+  DecodedView req;
   req.proc = NfsProc::kRead;
   req.fh = RegFh(MakeFileid(0, 5));
   req.offset = 65536;
@@ -286,7 +291,7 @@ TEST_F(RouteSelectionTest, BulkIoAboveThreshold) {
 }
 
 TEST_F(RouteSelectionTest, StripingSpreadsBlocks) {
-  DecodedRequest req;
+  DecodedView req;
   req.proc = NfsProc::kRead;
   req.fh = RegFh(MakeFileid(0, 5));
   std::set<uint32_t> nodes;
@@ -298,7 +303,7 @@ TEST_F(RouteSelectionTest, StripingSpreadsBlocks) {
 }
 
 TEST_F(RouteSelectionTest, MirroredWritesAbsorb) {
-  DecodedRequest req;
+  DecodedView req;
   req.proc = NfsProc::kWrite;
   req.fh = RegFh(MakeFileid(0, 5), /*replication=*/2);
   req.offset = 1 << 20;
@@ -306,7 +311,7 @@ TEST_F(RouteSelectionTest, MirroredWritesAbsorb) {
 }
 
 TEST_F(RouteSelectionTest, MirroredReadsAlternateReplicas) {
-  DecodedRequest req;
+  DecodedView req;
   req.proc = NfsProc::kRead;
   req.fh = RegFh(MakeFileid(0, 5), /*replication=*/2);
   req.offset = 1 << 20;
@@ -317,29 +322,27 @@ TEST_F(RouteSelectionTest, MirroredReadsAlternateReplicas) {
 }
 
 TEST_F(RouteSelectionTest, NameOpsFollowParentSite) {
-  DecodedRequest req;
+  DecodedView req;
   req.proc = NfsProc::kLookup;
   req.fh = DirFh(MakeFileid(2, 9));
-  req.name = "x";
-  EXPECT_TRUE(Route(req).target == ensemble_->dir_server(2).endpoint());
+  EXPECT_TRUE(Route(req, "x").target == ensemble_->dir_server(2).endpoint());
 }
 
 TEST_F(RouteSelectionTest, GetattrFollowsEmbeddedSite) {
-  DecodedRequest req;
+  DecodedView req;
   req.proc = NfsProc::kGetattr;
   req.fh = RegFh(MakeFileid(1, 3));
   EXPECT_TRUE(Route(req).target == ensemble_->dir_server(1).endpoint());
 }
 
 TEST_F(RouteSelectionTest, MkdirSwitchingRedirectsSome) {
-  DecodedRequest req;
+  DecodedView req;
   req.proc = NfsProc::kMkdir;
   req.fh = DirFh(MakeFileid(0, 1));
   int redirected = 0;
   constexpr int kTrials = 400;
   for (int i = 0; i < kTrials; ++i) {
-    req.name = "dir" + std::to_string(i);
-    if (!(Route(req).target == ensemble_->dir_server(0).endpoint())) {
+    if (!(Route(req, "dir" + std::to_string(i)).target == ensemble_->dir_server(0).endpoint())) {
       ++redirected;
     }
   }
@@ -350,14 +353,14 @@ TEST_F(RouteSelectionTest, MkdirSwitchingRedirectsSome) {
 }
 
 TEST_F(RouteSelectionTest, CommitFansOut) {
-  DecodedRequest req;
+  DecodedView req;
   req.proc = NfsProc::kCommit;
   req.fh = RegFh(MakeFileid(0, 5));
   EXPECT_EQ(Route(req).cls, Uproxy::RouteClass::kMultiCommit);
 }
 
 TEST_F(RouteSelectionTest, DeterministicAcrossCalls) {
-  DecodedRequest req;
+  DecodedView req;
   req.proc = NfsProc::kRead;
   req.fh = RegFh(MakeFileid(0, 123));
   req.offset = 1 << 20;

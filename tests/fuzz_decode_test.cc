@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -26,6 +27,17 @@ Bytes RandomBytes(Rng& rng, size_t n) {
   return data;
 }
 
+// Reads both name components of a successfully decoded view: a name
+// (offset, length) outside the payload fails the bound check here and is an
+// out-of-bounds read under ASan.
+void ReadNames(const DecodedView& view, ByteSpan payload) {
+  EXPECT_LE(size_t{view.name_off} + view.name_len, payload.size());
+  EXPECT_LE(size_t{view.name2_off} + view.name2_len, payload.size());
+  const std::string name(view.name(payload));
+  const std::string name2(view.name2(payload));
+  EXPECT_EQ(name.size() + name2.size(), size_t{view.name_len} + view.name2_len);
+}
+
 class FuzzSeedTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FuzzSeedTest, RandomBytesThroughEveryDecoder) {
@@ -38,8 +50,10 @@ TEST_P(FuzzSeedTest, RandomBytesThroughEveryDecoder) {
     (void)PeekRpcMessage(data);
 
     // µproxy fast path.
-    DecodedRequest req;
-    (void)DecodeNfsRequest(data, &req);
+    DecodedView req;
+    if (DecodeNfsRequestView(data, &req).ok()) {
+      ReadNames(req, data);
+    }
     DecodedReply rep;
     (void)DecodeNfsReply(data, &rep);
 
@@ -119,12 +133,13 @@ TEST_P(FuzzSeedTest, BitFlippedValidCallsNeverCrashTheDecoder) {
       mutated[rng.NextBelow(mutated.size())] ^=
           static_cast<uint8_t>(1u << rng.NextBelow(8));
     }
-    DecodedRequest req;
-    const Status st = DecodeNfsRequest(mutated, &req);
+    DecodedView req;
+    const Status st = DecodeNfsRequestView(mutated, &req);
     if (st.ok()) {
       // If it still parses, the parsed fields must at least be internally
       // sane (proc in range, fh length respected by construction).
       EXPECT_LE(static_cast<uint32_t>(req.proc), 21u);
+      ReadNames(req, mutated);
     }
   }
 }

@@ -2,6 +2,9 @@
 // simulated network (delivery, timing, taps, loss, failure).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/net/network.h"
 #include "src/net/packet.h"
 
@@ -203,6 +206,96 @@ TEST_F(NetworkTest, CountsBytes) {
   queue_.RunUntilIdle();
   EXPECT_EQ(net_.bytes_sent(), kPacketHeaderSize + 72);
   EXPECT_EQ(net_.packets_sent(), 1u);
+}
+
+// A tap that records each inbound delivery batch (its size and the first
+// payload byte of every packet) into a shared timeline, then passes the
+// packets up to its host.
+class BatchRecordingTap : public PacketTap {
+ public:
+  BatchRecordingTap(Network& net, std::vector<std::string>* timeline)
+      : net_(net), timeline_(timeline) {}
+
+  void HandleOutbound(Packet&& pkt) override { net_.Inject(std::move(pkt)); }
+  void HandleInbound(Packet&& pkt) override {
+    Packet one[] = {std::move(pkt)};
+    HandleInboundBatch(one);
+  }
+  void HandleInboundBatch(std::span<Packet> pkts) override {
+    std::string entry = "batch:";
+    for (Packet& p : pkts) {
+      entry += std::to_string(p.payload()[0]);
+      net_.DeliverLocal(p.dst_addr(), std::move(p));
+    }
+    timeline_->push_back(entry);
+  }
+
+ private:
+  Network& net_;
+  std::vector<std::string>* timeline_;
+};
+
+// Same-instant delivery needs zero serialization time: at this link rate a
+// small packet's wire time rounds to 0 ns, so every packet sent at t=0
+// arrives and is delivered at exactly the switch latency.
+class DeliveryBatchTest : public ::testing::Test {
+ protected:
+  DeliveryBatchTest()
+      : net_(queue_, NetworkParams{.link_gbit_per_s = 1e6}), tap_(net_, &timeline_) {
+    net_.Attach(kHostA, [](Packet&&) {});
+    net_.Attach(kHostB, [this](Packet&&) { ++delivered_; });
+    net_.InstallTap(kHostB, &tap_);
+  }
+
+  void SendNumbered(uint8_t n) {
+    Bytes payload(16, n);
+    net_.Send(Packet::MakeUdp(Endpoint{kHostA, 1000}, Endpoint{kHostB, 2049}, payload));
+  }
+
+  EventQueue queue_;
+  Network net_;
+  std::vector<std::string> timeline_;
+  BatchRecordingTap tap_;
+  int delivered_ = 0;
+};
+
+TEST_F(DeliveryBatchTest, SameInstantDeliveriesArriveAsOneBatch) {
+  ASSERT_TRUE(Network::delivery_batching());
+  for (uint8_t n = 0; n < 3; ++n) {
+    SendNumbered(n);
+  }
+  queue_.RunUntilIdle();
+  EXPECT_EQ(queue_.now(), FromMicros(30));
+  EXPECT_EQ(timeline_, (std::vector<std::string>{"batch:012"}));
+  EXPECT_EQ(delivered_, 3);
+  // Two drains per packet (arrive, deliver), all absorbed into one dispatch.
+  EXPECT_EQ(queue_.executed(), 6u);
+}
+
+TEST_F(DeliveryBatchTest, InterleavedSameInstantEventSplitsTheBatch) {
+  // G runs between the two arrivals and schedules F at the delivery instant,
+  // so F's seq falls between packet 0's and packet 1's delivery drains. F
+  // must run between them, which splits the batch in two.
+  SendNumbered(0);
+  queue_.ScheduleAt(FromMicros(30), [this] {
+    timeline_.push_back("G");
+    queue_.ScheduleAt(queue_.now(), [this] { timeline_.push_back("F"); });
+  });
+  SendNumbered(1);
+  queue_.RunUntilIdle();
+  EXPECT_EQ(timeline_, (std::vector<std::string>{"G", "batch:0", "F", "batch:1"}));
+  EXPECT_EQ(delivered_, 2);
+}
+
+TEST_F(DeliveryBatchTest, BatchingOffDeliversOnePacketPerCall) {
+  Network::SetDeliveryBatching(false);
+  for (uint8_t n = 0; n < 3; ++n) {
+    SendNumbered(n);
+  }
+  queue_.RunUntilIdle();
+  Network::SetDeliveryBatching(true);
+  EXPECT_EQ(timeline_, (std::vector<std::string>{"batch:0", "batch:1", "batch:2"}));
+  EXPECT_EQ(delivered_, 3);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "src/sim/disk.h"
@@ -110,6 +111,119 @@ TEST(EventQueueTest, BackgroundChainsInheritBackgroundStatus) {
   q.RunUntil(20);
   EXPECT_TRUE(child_ran);  // but RunUntil drives background chains normally
 }
+
+// --- drain events (payload-carrying, allocation-free) ---
+
+// A drain sink that logs every unit it handles into a shared timeline:
+// "d<payload>" for a unit that started its own dispatch, "a<payload>" for
+// one it absorbed. With `absorb` set it absorbs every drain PeekDrain offers.
+struct DrainSink {
+  EventQueue* q;
+  std::vector<std::string>* timeline;
+  bool absorb = true;
+  std::function<void(uint32_t)> on_unit = nullptr;  // optional per-unit hook
+  std::string tag = "";                             // prefixed to every timeline entry
+
+  static void Run(void* sink, uint32_t payload) {
+    auto* self = static_cast<DrainSink*>(sink);
+    self->Handle('d', payload);
+    uint32_t next = 0;
+    while (self->absorb && self->q->PeekDrain(self, &next)) {
+      self->q->AbsorbDrain();
+      self->Handle('a', next);
+    }
+  }
+  void Handle(char how, uint32_t payload) {
+    timeline->push_back(tag + how + std::to_string(payload));
+    if (on_unit) {
+      on_unit(payload);
+    }
+  }
+};
+
+TEST(EventQueueDrainTest, PayloadReachesDrainFn) {
+  EventQueue q;
+  std::vector<std::string> timeline;
+  DrainSink sink{.q = &q, .timeline = &timeline, .absorb = false};
+  std::vector<SimTime> times;
+  sink.on_unit = [&](uint32_t) { times.push_back(q.now()); };
+  q.ScheduleDrainAt(20, &DrainSink::Run, &sink, 7);
+  q.ScheduleDrainAt(10, &DrainSink::Run, &sink, 3);
+  q.ScheduleDrainAt(20, &DrainSink::Run, &sink, 0xffffffffu);
+  q.RunUntilIdle();
+  EXPECT_EQ(timeline, (std::vector<std::string>{"d3", "d7", "d4294967295"}));
+  EXPECT_EQ(times, (std::vector<SimTime>{10, 20, 20}));
+  EXPECT_EQ(q.executed(), 3u);
+}
+
+TEST(EventQueueDrainTest, OnlySameSinkSameInstantTopDrainsAreAbsorbed) {
+  EventQueue q;
+  std::vector<std::string> timeline;
+  DrainSink sink{.q = &q, .timeline = &timeline};
+  DrainSink other{.q = &q, .timeline = &timeline, .tag = "other:"};
+  q.ScheduleDrainAt(10, &DrainSink::Run, &sink, 1);
+  q.ScheduleDrainAt(10, &DrainSink::Run, &sink, 2);  // absorbed by 1's dispatch
+  q.ScheduleAt(10, [&] { timeline.push_back("foreign"); });
+  q.ScheduleDrainAt(10, &DrainSink::Run, &other, 3);  // blocked by the foreign event
+  q.ScheduleDrainAt(10, &DrainSink::Run, &sink, 4);   // another sink: not absorbed by 3
+  q.ScheduleDrainAt(11, &DrainSink::Run, &sink, 5);   // a later instant: not absorbed by 4
+  q.RunUntilIdle();
+  EXPECT_EQ(timeline, (std::vector<std::string>{"d1", "a2", "foreign", "other:d3", "d4", "d5"}));
+  // Absorbed drains count as executed events.
+  EXPECT_EQ(q.executed(), 6u);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueueDrainTest, ForeignEventAtSameInstantBlocksPeekDrain) {
+  EventQueue q;
+  std::vector<std::string> timeline;
+  DrainSink sink{.q = &q, .timeline = &timeline, .absorb = false};
+  bool peeked = true;
+  uint32_t payload = 0;
+  sink.on_unit = [&](uint32_t p) {
+    if (p == 1) {
+      peeked = q.PeekDrain(&sink, &payload);
+    }
+  };
+  q.ScheduleDrainAt(10, &DrainSink::Run, &sink, 1);
+  q.ScheduleAt(10, [] {});
+  q.ScheduleDrainAt(10, &DrainSink::Run, &sink, 2);
+  q.RunOne();
+  EXPECT_FALSE(peeked);
+  EXPECT_EQ(payload, 0u);  // untouched on a failed peek
+  EXPECT_EQ(q.pending(), 2u);
+}
+
+TEST(EventQueueDrainTest, AbsorbedDrainInheritsBackgroundStatus) {
+  // A foreground drain absorbs a background one; work scheduled while
+  // handling the absorbed unit is background, exactly as if that drain had
+  // fired on its own, and the foreground count drops only for the drain
+  // that was foreground.
+  EventQueue q;
+  std::vector<std::string> timeline;
+  DrainSink sink{.q = &q, .timeline = &timeline};
+  bool child_ran = false;
+  sink.on_unit = [&](uint32_t p) {
+    if (p == 2) {
+      q.ScheduleAfter(5, [&] { child_ran = true; });
+    }
+  };
+  q.ScheduleDrainAt(10, &DrainSink::Run, &sink, 1);  // foreground
+  q.ScheduleBackgroundAt(5, [&] { q.ScheduleDrainAt(10, &DrainSink::Run, &sink, 2); });
+  EXPECT_EQ(q.foreground_pending(), 1u);
+  q.RunUntilIdle();
+  EXPECT_EQ(timeline, (std::vector<std::string>{"d1", "a2"}));
+  EXPECT_EQ(q.executed(), 3u);  // background timer, drain 1, absorbed drain 2
+  EXPECT_EQ(q.foreground_pending(), 0u);
+  EXPECT_FALSE(child_ran);  // background child is not waited for
+  q.RunUntil(20);
+  EXPECT_TRUE(child_ran);
+  EXPECT_EQ(q.executed(), 4u);
+  // The dispatch restored foreground status: top-level work is foreground.
+  q.ScheduleAt(30, [] {});
+  EXPECT_EQ(q.foreground_pending(), 1u);
+}
+
 
 TEST(BusyResourceTest, IdleResourceStartsImmediately) {
   BusyResource r;
