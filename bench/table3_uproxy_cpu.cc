@@ -275,8 +275,9 @@ BENCHMARK(BM_Total_RequestPath);
 // replicates the shape of RpcServerNode::OnPacket + StorageNode::HandleRead
 // after the zero-allocation rework: view decode of the RPC envelope and args,
 // flat-index duplicate-request cache, cache-hit read into reusable scratch,
-// span-spliced ReadRes encode, the reply envelope into a member scratch
-// encoder, and the DRC reply ring recording the wire bytes. In steady state
+// span-spliced ReadRes encode, and the reply envelope into a member scratch
+// encoder. A READ reply is not cached, so the DRC step ends the call's
+// in-progress mark instead of copying the wire bytes. In steady state
 // none of it touches the heap — the same claim the full-path alloc test pins
 // against the real nodes; here we put a ns/pkt number on it.
 struct ServerPathFixture {
@@ -346,7 +347,7 @@ struct ServerPathFixture {
     benchmark::DoNotOptimize(drc.FindReply(key));
     benchmark::DoNotOptimize(drc.InProgress(key));
     drc.BeginCall(key);
-    drc.CompleteCall(key, ByteSpan(reply_enc.bytes()));
+    drc.EndCall(key);  // READ: read-only, so its reply is not cached
   }
 
   void ReadStage(const ReadArgs& args) {
@@ -391,16 +392,16 @@ struct ServerPathFixture {
     drc.BeginCall(key);
     ReadStage(args);
     EncodeStage(xid);
-    drc.CompleteCall(key, ByteSpan(reply_enc.bytes()));
+    drc.EndCall(key);
   }
 };
 
 // Whole server dispatch path (view decode → DRC → cache-hit read → reply
-// encode → reply ring), google-benchmark account.
+// encode), google-benchmark account.
 void BM_Total_ServerPath(benchmark::State& state) {
   ServerPathFixture server;
   for (int i = 0; i < 8192; ++i) {
-    server.Serve();  // fill the DRC index + cache before measuring
+    server.Serve();  // warm the cache and scratch buffers before measuring
   }
   for (auto _ : state) {
     server.Serve();
@@ -629,8 +630,8 @@ void WriteTable3Bench() {
   const double cpu_pct_at_6250 = mean_ns * 6250.0 / 1e9 * 100.0;
 
   // Server-side dispatch: the same chunked methodology over the zero-alloc
-  // server path (RPC view decode → DRC → cache-hit read → reply encode →
-  // reply ring). end_to_end = µproxy forwarding + server dispatch, the full
+  // server path (RPC view decode → DRC → cache-hit read → reply encode).
+  // end_to_end = µproxy forwarding + server dispatch, the full
   // CPU cost of one interposed, served request.
   ServerPathFixture server;
   auto chunked_ns = [&](auto&& body) -> double {

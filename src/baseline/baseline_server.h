@@ -53,6 +53,11 @@ class BaselineServer : public RpcServerNode {
  protected:
   RpcAcceptStat HandleCall(const RpcMessageView& call, XdrEncoder& reply,
                            ServiceCost& cost) override;
+  // RFC 1813 read-only calls re-execute on retransmission; only replies
+  // that change server state stay in the DRC.
+  bool CachesReply(const DrcKey& key) const override {
+    return !IsReadOnlyNfsCall(key.prog, key.vers, key.proc);
+  }
 
  private:
   struct EntryKey {

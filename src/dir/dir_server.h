@@ -151,6 +151,11 @@ class DirServer : public RpcServerNode {
   // Stashes the calling client so misdirect notices know where to go.
   void DispatchCall(const RpcMessageView& call, const Endpoint& client, ReplyFn done) override;
   void OnRestart() override;
+  // RFC 1813 read-only calls re-execute on retransmission; only replies
+  // that change server state stay in the DRC.
+  bool CachesReply(const DrcKey& key) const override {
+    return !IsReadOnlyNfsCall(key.prog, key.vers, key.proc);
+  }
 
  private:
   // --- logged primitive mutations (replayed on recovery) ---

@@ -52,6 +52,32 @@ inline constexpr size_t kNfsProcCount = 22;
 
 const char* NfsProcName(NfsProc proc);
 
+// RFC 1813 calls that change no server state. A server re-executes a
+// retransmission of one of these instead of replaying a cached reply, as
+// the BSD nfsrv_cache does. COMMIT is not among them: it moves data to
+// stable storage and returns the write verifier.
+constexpr bool IsReadOnlyNfsCall(uint32_t prog, uint32_t vers, uint32_t proc) {
+  if (prog != kNfsProgram || vers != kNfsVersion) {
+    return false;
+  }
+  switch (static_cast<NfsProc>(proc)) {
+    case NfsProc::kNull:
+    case NfsProc::kGetattr:
+    case NfsProc::kLookup:
+    case NfsProc::kAccess:
+    case NfsProc::kReadlink:
+    case NfsProc::kRead:
+    case NfsProc::kReaddir:
+    case NfsProc::kReaddirplus:
+    case NfsProc::kFsstat:
+    case NfsProc::kFsinfo:
+    case NfsProc::kPathconf:
+      return true;
+    default:
+      return false;
+  }
+}
+
 enum class Nfsstat3 : uint32_t {
   kOk = 0,
   kErrPerm = 1,

@@ -145,7 +145,11 @@ void RpcServerNode::CompleteCall(const DrcKey& key, const Endpoint& client,
     reply_enc_.PutOpaqueFixed(result);
   }
 
-  drc_.CompleteCall(key, ByteSpan(reply_enc_.bytes()));
+  if (CachesReply(key)) {
+    drc_.CompleteCall(key, ByteSpan(reply_enc_.bytes()));
+  } else {
+    drc_.EndCall(key);
+  }
   ++requests_served_;
 
   const SimTime ready_at = queue_.now();

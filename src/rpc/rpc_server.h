@@ -5,11 +5,12 @@
 // Includes a duplicate-request cache so retransmitted non-idempotent calls
 // (create, remove, rename...) return the original reply instead of
 // re-executing — standard NFS/UDP server behavior that the loss-injection
-// tests depend on.
+// tests depend on. Subclasses may exempt calls that are safe to re-execute
+// (CachesReply); the NFS servers exempt RFC 1813 read-only calls.
 //
 // Fast-path discipline (DESIGN.md, server-side pools): the reply envelope is
-// encoded into a member scratch encoder, the DRC is a fixed reply ring plus
-// a flat open-addressing index, the completion token is a concrete value
+// encoded into a member scratch encoder, the DRC is a reply ring plus a flat
+// open-addressing index, the completion token is a concrete value
 // (not a std::function), and the deferred reply send waits in a network
 // flight slot — so a steady-state served request never touches the heap.
 #ifndef SLICE_RPC_RPC_SERVER_H_
@@ -72,18 +73,25 @@ struct DrcKeyHash {
   }
 };
 
-// Duplicate-request cache: a fixed FIFO ring of completed replies plus a
-// flat open-addressing index, replacing the unordered_map + deque +
-// unordered_set trio. In steady state a completing call reuses the evicted
-// ring slot's wire buffer and the flat index never allocates. Semantics are
-// unchanged: completed entries are evicted FIFO in completion order, an
-// evicted key that re-executes re-enters the FIFO as a fresh entry, and
-// calls still executing are marked in-progress so their duplicates can be
-// dropped.
+// Duplicate-request cache: a FIFO ring of completed replies plus a flat
+// open-addressing index. It exists so that a retransmitted call that changes
+// server state (CREATE, REMOVE, RENAME, WRITE...) is answered with its
+// original reply instead of running twice. Calls still executing are marked
+// in-progress so their duplicates are dropped. When they complete, the
+// server either records the reply (CompleteCall) or only clears the marker
+// (EndCall). It takes the second path for calls that are safe to re-execute:
+// NFS servers send every RFC 1813 read-only call there, so READ payloads
+// never enter the ring.
+//
+// Completed entries are evicted FIFO in completion order, and an evicted
+// key that re-executes re-enters the FIFO as a fresh entry. The ring and
+// the index grow on demand up to `capacity` entries, so a server that sees
+// few state-changing calls holds few slots. Once the ring is full, a
+// completing call reuses the evicted slot's wire buffer and the index no
+// longer grows, so steady state does not allocate.
 class DuplicateRequestCache {
  public:
-  explicit DuplicateRequestCache(size_t capacity)
-      : ring_(capacity > 0 ? capacity : 1), index_(2 * ring_.size()) {}
+  explicit DuplicateRequestCache(size_t capacity) : capacity_(capacity > 0 ? capacity : 1) {}
 
   // The cached reply wire for `key`, or null (unknown, or still executing).
   const Bytes* FindReply(const DrcKey& key) const {
@@ -100,24 +108,31 @@ class DuplicateRequestCache {
   }
 
   // Marks `key` as executing; the caller drops duplicates that arrive before
-  // CompleteCall via InProgress().
+  // CompleteCall or EndCall via InProgress().
   void BeginCall(const DrcKey& key) { *index_.Insert(key).first = kInProgress; }
 
   // Records the encoded reply, evicting the oldest completed entry when the
   // ring is full. The victim's wire buffer keeps its capacity.
   void CompleteCall(const DrcKey& key, ByteSpan wire) {
     index_.Erase(key);  // clear the in-progress marker
-    Entry& e = ring_[head_];
-    if (count_ == ring_.size()) {
-      index_.Erase(e.key);  // FIFO eviction of the oldest entry
+    if (count_ == capacity_) {
+      index_.Erase(ring_[head_].key);  // FIFO eviction of the oldest entry
     } else {
       ++count_;
     }
+    if (head_ == ring_.size()) {
+      ring_.emplace_back();  // not yet at capacity: grow by one slot
+    }
+    Entry& e = ring_[head_];
     e.key = key;
     e.wire.assign(wire.begin(), wire.end());
     *index_.Insert(key).first = static_cast<uint32_t>(head_);
-    head_ = (head_ + 1) % ring_.size();
+    head_ = (head_ + 1) % capacity_;
   }
+
+  // Completes `key` without caching its reply: a later retransmission
+  // re-executes.
+  void EndCall(const DrcKey& key) { index_.Erase(key); }
 
   void Clear() {
     index_.Clear();
@@ -126,6 +141,9 @@ class DuplicateRequestCache {
   }
 
   size_t size() const { return count_; }
+  // Ring slots allocated so far: 0 until the first CompleteCall, never more
+  // than the capacity.
+  size_t ring_slots() const { return ring_.size(); }
 
  private:
   // Ring capacities sit far below 2^32-1, so the top value is a free
@@ -135,6 +153,7 @@ class DuplicateRequestCache {
     DrcKey key{};
     Bytes wire;
   };
+  size_t capacity_;
   std::vector<Entry> ring_;
   FlatMap<DrcKey, uint32_t, DrcKeyHash> index_;
   size_t head_ = 0;
@@ -236,6 +255,15 @@ class RpcServerNode {
   // array) override this and invoke `done` when the reply is ready.
   virtual void DispatchCall(const RpcMessageView& call, const Endpoint& client, ReplyFn done);
 
+  // DRC policy hook: whether this call's reply is cached so that a
+  // retransmission replays it. The default caches every reply. Returning
+  // false means a retransmission that arrives after completion re-executes;
+  // one that arrives while the call is still executing is dropped either way.
+  virtual bool CachesReply(const DrcKey& key) const {
+    (void)key;
+    return true;
+  }
+
   // Recovery hook; default does nothing.
   virtual void OnRestart() {}
 
@@ -245,7 +273,8 @@ class RpcServerNode {
  private:
   void OnPacket(Packet&& pkt);
   // The single completion point behind ReplyFn: encodes the reply envelope
-  // around `result` into the member scratch, records it in the DRC, charges
+  // around `result` into the member scratch, records it in the DRC (or only
+  // ends the in-progress mark when CachesReply says no), charges
   // CPU/queue time, and schedules the deferred send flight at the
   // service-done instant.
   void CompleteCall(const DrcKey& key, const Endpoint& client,

@@ -69,6 +69,11 @@ class StorageNode : public RpcServerNode {
   RpcAcceptStat HandleCall(const RpcMessageView& call, XdrEncoder& reply,
                            ServiceCost& cost) override;
   void OnRestart() override;
+  // RFC 1813 read-only calls re-execute on retransmission; only replies
+  // that change server state stay in the DRC.
+  bool CachesReply(const DrcKey& key) const override {
+    return !IsReadOnlyNfsCall(key.prog, key.vers, key.proc);
+  }
 
  private:
   // The per-proc switch; HandleCall wraps it to charge the request's disk

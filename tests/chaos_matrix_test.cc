@@ -33,7 +33,7 @@ struct Golden {
 constexpr Golden kGoldens[] = {
     {"partition_heal", 0xa3cc3089ef2c41feull},
     {"asymmetric_loss", 0x404b7dc0de367e23ull},
-    {"burst_loss", 0x4fa38d7ff3129586ull},
+    {"burst_loss", 0x095e72dd16a59f0eull},
     {"gray_disk", 0xbb3a6d1fc4551b12ull},
     {"correlated_crash", 0xdabbb5a64254242eull},
     {"correlated_crash_restart_storm", 0xb7d02261edfcba01ull},

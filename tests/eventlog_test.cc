@@ -14,7 +14,10 @@
 
 // Global allocation counter for the disabled-fast-path test (same idiom as
 // obs_test.cc): counts every operator-new in the process, tests measure
-// deltas around the calls under scrutiny.
+// deltas around the calls under scrutiny. The nothrow forms are replaced
+// too: std::stable_sort (EventLog::Collect) takes its scratch buffer from
+// nothrow new and hands it back to the plain delete below, so the pair must
+// both go through malloc/free (AddressSanitizer flags a mixed pair).
 static uint64_t g_news = 0;
 
 void* operator new(std::size_t size) {
@@ -25,6 +28,15 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_news;
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }

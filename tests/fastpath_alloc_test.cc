@@ -230,12 +230,12 @@ TEST(FastPathAllocTest, SteadyStateWithProfilerEnabledDoesNotAllocate) {
 }
 
 // The full request path against a REAL storage node: µproxy outbound decode/
-// route/rewrite → network delivery → RpcServerNode view decode + DRC →
-// StorageNode cache-hit READ into reusable scratch → span-spliced reply
-// encode → DRC reply ring → deferred send flight → µproxy inbound pairing +
-// attribute patch → client socket. Once the DRC ring, flat tables, caches,
-// scratch encoders and pool freelists have warmed, a served request must
-// touch the heap zero times end to end.
+// route/rewrite → network delivery → RpcServerNode view decode + DRC
+// in-progress mark → StorageNode cache-hit READ into reusable scratch →
+// span-spliced reply encode → deferred send flight → µproxy inbound pairing +
+// attribute patch → client socket. Once the flat tables, caches, scratch
+// encoders and pool freelists have warmed, a served request must touch the
+// heap zero times end to end.
 TEST(FastPathAllocTest, FullPathThroughStorageNodeDoesNotAllocate) {
   ASSERT_TRUE(PacketPool::Enabled());
 
@@ -292,11 +292,11 @@ TEST(FastPathAllocTest, FullPathThroughStorageNodeDoesNotAllocate) {
     queue.RunUntilIdle();
   };
 
-  // Warm-up must run the DRC's reply ring (4096 entries) all the way to its
-  // FIFO steady state so the flat index stops growing and every ring slot's
-  // wire buffer has its capacity; it also fills the block cache (the first
-  // trip's misses go to the simulated disks) and the pool freelists.
-  constexpr int kWarmup = 4096 + 128;
+  // One warm-up trip: its READ misses to the simulated disks and fills the
+  // block cache, and it sizes the pool freelists, flat tables and scratch
+  // encoders. READ replies never enter the DRC's reply ring, so no warm-up
+  // has to run that ring to its FIFO steady state.
+  constexpr int kWarmup = 1;
   for (int i = 0; i < kWarmup; ++i) {
     round_trip();
   }

@@ -2,6 +2,8 @@
 // retransmission, server dispatch, duplicate request cache, cost charging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/rpc/rpc_client.h"
 #include "src/rpc/rpc_message.h"
 #include "src/rpc/rpc_server.h"
@@ -28,7 +30,8 @@ TEST(RpcMessageTest, CallRoundTrip) {
   args.PutUint64(0xfeedface);
   call.args = args.bytes();
 
-  Result<RpcMessageView> view = DecodeRpcMessage(call.Encode());
+  const Bytes wire = call.Encode();  // the view points into these bytes
+  Result<RpcMessageView> view = DecodeRpcMessage(wire);
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->type, RpcMsgType::kCall);
   EXPECT_EQ(view->xid, 77u);
@@ -49,7 +52,8 @@ TEST(RpcMessageTest, ReplyRoundTrip) {
   result.PutUint32(123);
   reply.result = result.bytes();
 
-  Result<RpcMessageView> view = DecodeRpcMessage(reply.Encode());
+  const Bytes wire = reply.Encode();  // the view points into these bytes
+  Result<RpcMessageView> view = DecodeRpcMessage(wire);
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->type, RpcMsgType::kReply);
   EXPECT_EQ(view->xid, 88u);
@@ -62,7 +66,8 @@ TEST(RpcMessageTest, ErrorReplyHasNoBody) {
   RpcReply reply;
   reply.xid = 9;
   reply.stat = RpcAcceptStat::kProcUnavail;
-  Result<RpcMessageView> view = DecodeRpcMessage(reply.Encode());
+  const Bytes wire = reply.Encode();
+  Result<RpcMessageView> view = DecodeRpcMessage(wire);
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->accept_stat, RpcAcceptStat::kProcUnavail);
   EXPECT_TRUE(view->body.empty());
@@ -450,6 +455,70 @@ TEST_F(DrcCapacityTest, SustainedTrafficStaysBounded) {
   EXPECT_EQ(server_.duplicates_answered(), 4u);
   Call(150);  // long evicted -> re-executed
   EXPECT_EQ(server_.calls, 101);
+}
+
+// --- DuplicateRequestCache sizing ---
+
+DrcKey TestKey(uint32_t xid) {
+  return DrcKey{.client = 1, .xid = xid, .prog = kTestProg, .vers = kTestVers, .proc = 7};
+}
+
+TEST(DuplicateRequestCacheTest, RingGrowsOnDemandUpToCapacity) {
+  DuplicateRequestCache drc(4);
+  EXPECT_EQ(drc.ring_slots(), 0u) << "a fresh cache allocates no ring slots";
+
+  // A call completed without caching (EndCall) only clears its in-progress
+  // mark: no ring slot, nothing to replay.
+  drc.BeginCall(TestKey(1));
+  EXPECT_TRUE(drc.InProgress(TestKey(1)));
+  drc.EndCall(TestKey(1));
+  EXPECT_FALSE(drc.InProgress(TestKey(1)));
+  EXPECT_EQ(drc.FindReply(TestKey(1)), nullptr);
+  EXPECT_EQ(drc.ring_slots(), 0u);
+
+  const Bytes wire = {1, 2, 3};
+  for (uint32_t xid = 10; xid < 20; ++xid) {
+    drc.BeginCall(TestKey(xid));
+    drc.CompleteCall(TestKey(xid), ByteSpan(wire));
+    EXPECT_EQ(drc.ring_slots(), std::min<size_t>(xid - 9, 4)) << "xid " << xid;
+    EXPECT_EQ(drc.size(), drc.ring_slots());
+  }
+  // FIFO: only the newest four replies survive.
+  for (uint32_t xid = 10; xid < 16; ++xid) {
+    EXPECT_EQ(drc.FindReply(TestKey(xid)), nullptr) << "xid " << xid;
+  }
+  for (uint32_t xid = 16; xid < 20; ++xid) {
+    const Bytes* cached = drc.FindReply(TestKey(xid));
+    ASSERT_NE(cached, nullptr) << "xid " << xid;
+    EXPECT_EQ(*cached, wire);
+  }
+}
+
+TEST(DuplicateRequestCacheTest, ClearedCacheRefillsPartialRingInFifoOrder) {
+  DuplicateRequestCache drc(4);
+  const Bytes wire = {9};
+  for (uint32_t xid = 1; xid <= 2; ++xid) {
+    drc.BeginCall(TestKey(xid));
+    drc.CompleteCall(TestKey(xid), ByteSpan(wire));
+  }
+  drc.Clear();
+  EXPECT_EQ(drc.size(), 0u);
+  EXPECT_EQ(drc.ring_slots(), 2u) << "Clear keeps the slots for reuse";
+  EXPECT_EQ(drc.FindReply(TestKey(2)), nullptr);
+
+  // Refill reuses the two kept slots, then grows to capacity and evicts FIFO.
+  for (uint32_t xid = 11; xid <= 16; ++xid) {
+    drc.BeginCall(TestKey(xid));
+    drc.CompleteCall(TestKey(xid), ByteSpan(wire));
+    EXPECT_LE(drc.ring_slots(), 4u);
+  }
+  EXPECT_EQ(drc.ring_slots(), 4u);
+  EXPECT_EQ(drc.size(), 4u);
+  EXPECT_EQ(drc.FindReply(TestKey(11)), nullptr);
+  EXPECT_EQ(drc.FindReply(TestKey(12)), nullptr);
+  for (uint32_t xid = 13; xid <= 16; ++xid) {
+    EXPECT_NE(drc.FindReply(TestKey(xid)), nullptr) << "xid " << xid;
+  }
 }
 
 TEST_F(RpcEndToEndTest, CpuQueueingSerializesRequests) {

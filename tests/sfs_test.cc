@@ -193,6 +193,73 @@ TEST_F(SfsTest, CacheMissFetchesFromStorage) {
   EXPECT_GT(sfs_->backing_fetches(), fetches_before);
 }
 
+TEST_F(SfsTest, DuplicateReadIsDroppedWhileWaitingAndReexecutesAfter) {
+  // A READ that misses the small-file server's cache waits on a backing
+  // fetch. Its duplicate is dropped while the call is still executing; once
+  // the reply is out, the next retransmission re-executes, because READ
+  // replies are not kept in the duplicate-request cache.
+  const Bytes data = Pattern(6000, 3);
+  ASSERT_EQ(client_->Write(Fh(), 0, data, StableHow::kFileSync).value().status, Nfsstat3::kOk);
+  sfs_->FlushDirtyForTest();
+  queue_.RunUntilIdle();
+  // Cold caches on both tiers: the fetch must go to the storage node's disk.
+  sfs_->Fail();
+  sfs_->Restart();
+  storage_[0]->Fail();
+  storage_[0]->Restart();
+  queue_.RunUntilIdle();
+
+  std::vector<Bytes> replies;
+  const NetPort port = client_host_->Bind(0, [&replies](Packet&& pkt) {
+    replies.emplace_back(pkt.payload().begin(), pkt.payload().end());
+  });
+  RpcCall call;
+  call.xid = 300;
+  call.prog = kNfsProgram;
+  call.vers = kNfsVersion;
+  call.proc = static_cast<uint32_t>(NfsProc::kRead);
+  ReadArgs args;
+  args.file = Fh();
+  args.count = 6000;
+  XdrEncoder enc;
+  args.Encode(enc);
+  call.args = enc.Take();
+  const Bytes wire = call.Encode();
+  auto send = [&] {
+    client_host_->Send(
+        Packet::MakeUdp(Endpoint{kClientAddr, port}, sfs_->endpoint(), ByteSpan(wire)));
+  };
+
+  const uint64_t served = sfs_->requests_served();
+  const uint64_t fetches = sfs_->backing_fetches();
+  const uint64_t disk_misses = storage_[0]->cache().misses();
+  send();
+  queue_.RunUntil(queue_.now() + FromMicros(500));
+  ASSERT_GT(sfs_->backing_fetches(), fetches) << "the READ must be waiting on its fetch";
+  ASSERT_EQ(sfs_->requests_served(), served);
+  ASSERT_TRUE(replies.empty());
+  send();  // duplicate while the first is still executing
+  queue_.RunUntilIdle();
+  EXPECT_GT(storage_[0]->cache().misses(), disk_misses) << "the fetch missed on disk";
+  ASSERT_EQ(replies.size(), 1u) << "the in-flight duplicate is dropped";
+  EXPECT_EQ(sfs_->requests_served(), served + 1);
+  EXPECT_EQ(sfs_->duplicates_answered(), 0u);
+
+  send();  // retransmission after completion
+  queue_.RunUntilIdle();
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(sfs_->requests_served(), served + 2) << "a completed READ re-executes";
+  EXPECT_EQ(sfs_->duplicates_answered(), 0u);
+  for (const Bytes& reply : replies) {
+    Result<RpcMessageView> view = DecodeRpcMessage(reply);
+    ASSERT_TRUE(view.ok());
+    XdrDecoder dec(view->body);
+    ReadRes res = ReadRes::Decode(dec).value();
+    ASSERT_EQ(res.status, Nfsstat3::kOk);
+    EXPECT_EQ(res.data, data);
+  }
+}
+
 TEST_F(SfsTest, TruncateFreesFragments) {
   ASSERT_EQ(client_->Write(Fh(), 0, Pattern(3 * kStoreBlockSize), StableHow::kFileSync)
                 .value()

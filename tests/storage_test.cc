@@ -484,5 +484,108 @@ TEST_F(StorageNodeTest, UnsupportedProcRejected) {
   EXPECT_FALSE(res.ok());  // PROC_UNAVAIL surfaces as an RPC-level error
 }
 
+// --- duplicate-request cache policy ---
+//
+// Raw-packet harness on the storage-node fixture: calls leave one bound
+// client port with chosen xids, so resending a wire is an exact
+// retransmission, and every reply's wire bytes are kept.
+class StorageNodeDrcTest : public StorageNodeTest {
+ protected:
+  StorageNodeDrcTest() {
+    port_ = client_host_.Bind(0, [this](Packet&& pkt) {
+      replies_.emplace_back(pkt.payload().begin(), pkt.payload().end());
+    });
+  }
+
+  static Bytes CallWire(uint32_t xid, NfsProc proc, XdrEncoder& args) {
+    RpcCall call;
+    call.xid = xid;
+    call.prog = kNfsProgram;
+    call.vers = kNfsVersion;
+    call.proc = static_cast<uint32_t>(proc);
+    call.args = args.Take();
+    return call.Encode();
+  }
+
+  Bytes ReadWire(uint32_t xid, uint32_t count) const {
+    ReadArgs args;
+    args.file = Fh();
+    args.count = count;
+    XdrEncoder enc;
+    args.Encode(enc);
+    return CallWire(xid, NfsProc::kRead, enc);
+  }
+
+  void Send(const Bytes& wire) {
+    client_host_.Send(Packet::MakeUdp(Endpoint{client_host_.addr(), port_}, node_.endpoint(),
+                                      ByteSpan(wire)));
+  }
+
+  static ReadRes DecodeRead(const Bytes& wire) {
+    Result<RpcMessageView> view = DecodeRpcMessage(wire);
+    EXPECT_TRUE(view.ok());
+    XdrDecoder dec(view->body);
+    return ReadRes::Decode(dec).value();
+  }
+
+  NetPort port_ = 0;
+  std::vector<Bytes> replies_;
+};
+
+TEST_F(StorageNodeDrcTest, CompletedDuplicateReadReexecutes) {
+  const Bytes data = Pattern(32768);
+  ASSERT_EQ(client_.Write(Fh(), 0, data, StableHow::kFileSync).value().status, Nfsstat3::kOk);
+  const Bytes read = ReadWire(100, 32768);
+  Send(read);
+  queue_.RunUntilIdle();
+  ASSERT_EQ(replies_.size(), 1u);
+  const uint64_t served = node_.requests_served();
+  const uint64_t replayed = node_.duplicates_answered();
+
+  Send(read);  // retransmission after the first reply went out
+  queue_.RunUntilIdle();
+  ASSERT_EQ(replies_.size(), 2u);
+  EXPECT_EQ(node_.requests_served(), served + 1) << "a completed READ re-executes";
+  EXPECT_EQ(node_.duplicates_answered(), replayed) << "READ replies are not cached";
+  // Same payload; only the attribute timestamps (the service instant) differ.
+  const ReadRes first = DecodeRead(replies_[0]);
+  const ReadRes second = DecodeRead(replies_[1]);
+  ASSERT_EQ(second.status, Nfsstat3::kOk);
+  EXPECT_EQ(second.data, data);
+  EXPECT_EQ(second.data, first.data);
+  EXPECT_EQ(second.count, first.count);
+  EXPECT_EQ(second.eof, first.eof);
+  EXPECT_EQ(replies_[1].size(), replies_[0].size());
+}
+
+TEST_F(StorageNodeDrcTest, DuplicateWriteAndCommitReplayWithoutReexecuting) {
+  WriteArgs write;
+  write.file = Fh();
+  write.data = Pattern(8192);
+  write.count = static_cast<uint32_t>(write.data.size());
+  XdrEncoder write_args;
+  write.Encode(write_args);
+  const Bytes write_wire = CallWire(200, NfsProc::kWrite, write_args);
+  CommitArgs commit;
+  commit.file = Fh();
+  XdrEncoder commit_args;
+  commit.Encode(commit_args);
+  const Bytes commit_wire = CallWire(201, NfsProc::kCommit, commit_args);
+
+  for (const Bytes* wire : {&write_wire, &commit_wire}) {
+    Send(*wire);
+    queue_.RunUntilIdle();
+    const uint64_t served = node_.requests_served();
+    const uint64_t replayed = node_.duplicates_answered();
+    const size_t n = replies_.size();
+    Send(*wire);
+    queue_.RunUntilIdle();
+    ASSERT_EQ(replies_.size(), n + 1);
+    EXPECT_EQ(node_.requests_served(), served) << "a cached reply must not re-execute";
+    EXPECT_EQ(node_.duplicates_answered(), replayed + 1);
+    EXPECT_EQ(replies_[n], replies_[n - 1]) << "the replay carries the original bytes";
+  }
+}
+
 }  // namespace
 }  // namespace slice
