@@ -502,8 +502,12 @@ void BaselineServer::DoCommit(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& c
     res.Encode(reply);
     return;
   }
-  const std::vector<PhysBlock> written = data_.Commit(args->file.fileid());
+  Status flushed;
+  const std::vector<PhysBlock> written = data_.Commit(args->file.fileid(), &flushed);
   ChargeDisk(written, /*write=*/true, cost);
+  if (!flushed.ok()) {
+    res.status = Nfsstat3::kErrNospc;  // the unflushed blocks stay dirty
+  }
   res.verf = write_verifier_;
   if (Fattr3* attr = FindAttr(args->file.fileid()); attr != nullptr) {
     res.wcc.after = *attr;

@@ -979,7 +979,7 @@ void Uproxy::OwnWrite(Endpoint server, const FileHandle& fh, uint64_t offset, By
   args.offset = offset;
   args.count = static_cast<uint32_t>(data.size());
   args.stable = stable;
-  args.data.assign(data.begin(), data.end());
+  args.data = data;
   XdrEncoder enc;
   args.Encode(enc);
   own_rpc_->Call(server, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kWrite),
@@ -1304,7 +1304,8 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
   if (!decoded.ok()) {
     return;  // drop; client retransmits, then fails decode at the server
   }
-  const WriteArgs args = *decoded;
+  // A view into the client's datagram: valid only in this call.
+  const WriteArgs& args = *decoded;
   const uint32_t replication = std::max<uint32_t>(2, args.file.replication());
 
   Pending pending;
@@ -1354,11 +1355,14 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
   const bool log_degraded = !dead_nodes.empty() && !config_.coordinators.empty();
 
   // Fan-out calls issued below (intent log, replica writes, degraded-region
-  // acks) all inherit this context through own_rpc_.
+  // acks) all inherit this context through own_rpc_. The replica writes may
+  // wait for the intent log, after the client's datagram is gone, so they
+  // send from one owned copy of the payload.
   obs::ScopedContext scope(tracer_, ctx);
   WithIntent(IntentOp::kMirrorWrite, args.file, args.offset,
-             [this, args, client, req, live_nodes, dead_nodes,
-              log_degraded](std::function<void()> complete) {
+             [this, fh = args.file, offset = args.offset, count = args.count,
+              stable = args.stable, data = Bytes(args.data.begin(), args.data.end()), client,
+              req, live_nodes, dead_nodes, log_degraded](std::function<void()> complete) {
                auto results = std::make_shared<std::vector<WriteRes>>();
                auto failures = std::make_shared<int>(0);
                // The client's reply also waits for the degraded-region acks:
@@ -1366,8 +1370,8 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
                // would silently lose redundancy.
                auto remaining = std::make_shared<uint32_t>(static_cast<uint32_t>(
                    live_nodes.size() + (log_degraded ? dead_nodes.size() : 0)));
-               auto finish = [this, results, failures, remaining, client, req, args,
-                              complete]() {
+               auto finish = [this, results, failures, remaining, client, req, fh, offset,
+                              count, complete]() {
                  if (--*remaining > 0) {
                    return;
                  }
@@ -1377,8 +1381,7 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
                    pending_.Erase(KeyOf(client.port, req.xid));
                    return;  // stay silent; client retransmits
                  }
-                 attr_cache_.NoteWrite(args.file.fileid(), args.offset + args.count,
-                                       Now());
+                 attr_cache_.NoteWrite(fh.fileid(), offset + count, Now());
                  ArmWritebackTimer();
                  WriteRes merged = results->front();
                  for (const WriteRes& r2 : *results) {
@@ -1387,7 +1390,7 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
                    }
                    merged.count = std::min(merged.count, r2.count);
                  }
-                 if (const AttrCache::Entry* e = attr_cache_.Find(args.file.fileid());
+                 if (const AttrCache::Entry* e = attr_cache_.Find(fh.fileid());
                      e != nullptr) {
                    merged.wcc.after = e->attr;
                  }
@@ -1398,7 +1401,7 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
                };
                if (log_degraded) {
                  for (uint32_t node : dead_nodes) {
-                   LogDegradedWrite(args.file, args.offset, args.count, node,
+                   LogDegradedWrite(fh, offset, count, node,
                                     [failures, finish](bool ok) {
                                       if (!ok) {
                                         ++*failures;
@@ -1408,8 +1411,7 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
                  }
                }
                for (uint32_t node : live_nodes) {
-                 OwnWrite(config_.storage_nodes[node], args.file, args.offset, args.data,
-                          args.stable,
+                 OwnWrite(config_.storage_nodes[node], fh, offset, data, stable,
                           [results, failures, finish](Status st, const WriteRes& res) {
                             if (!st.ok() || res.status != Nfsstat3::kOk) {
                               ++*failures;

@@ -20,31 +20,37 @@ std::string EndpointToString(const Endpoint& ep) {
   return AddrToString(ep.addr) + ":" + std::to_string(ep.port);
 }
 
-Packet Packet::MakeUdp(Endpoint src, Endpoint dst, ByteSpan payload) {
-  Packet pkt;
-  pkt.data_ = PacketPool::Default().Acquire(kPacketHeaderSize + payload.size());
-  pkt.trace_state_ = kTraceAbsent;  // freshly built: no trailer yet
-  Bytes& b = pkt.data_;
+Packet Packet::MakeUdp(Endpoint src, Endpoint dst, ByteSpan head, ByteSpan body) {
+  const size_t payload_size = head.size() + body.size();
+  uint8_t hdr[kPacketHeaderSize];
 
   // IPv4 header.
-  b[0] = 0x45;  // version 4, IHL 5
-  b[1] = 0;     // TOS
-  PutU16(&b[2], static_cast<uint16_t>(b.size()));
-  PutU16(&b[4], 0);  // identification
-  PutU16(&b[6], 0);  // flags/fragment
-  b[8] = 64;         // TTL
-  b[9] = kProtoUdp;
-  PutU16(&b[10], 0);  // checksum placeholder
-  PutU32(&b[12], src.addr);
-  PutU32(&b[16], dst.addr);
+  hdr[0] = 0x45;  // version 4, IHL 5
+  hdr[1] = 0;     // TOS
+  PutU16(&hdr[2], static_cast<uint16_t>(kPacketHeaderSize + payload_size));
+  PutU16(&hdr[4], 0);  // identification
+  PutU16(&hdr[6], 0);  // flags/fragment
+  hdr[8] = 64;         // TTL
+  hdr[9] = kProtoUdp;
+  PutU16(&hdr[10], 0);  // checksum placeholder
+  PutU32(&hdr[12], src.addr);
+  PutU32(&hdr[16], dst.addr);
 
   // UDP header.
-  PutU16(&b[kIpHeaderSize], src.port);
-  PutU16(&b[kIpHeaderSize + 2], dst.port);
-  PutU16(&b[kIpHeaderSize + 4], static_cast<uint16_t>(kUdpHeaderSize + payload.size()));
-  PutU16(&b[kIpHeaderSize + 6], 0);  // checksum placeholder
+  PutU16(&hdr[kIpHeaderSize], src.port);
+  PutU16(&hdr[kIpHeaderSize + 2], dst.port);
+  PutU16(&hdr[kIpHeaderSize + 4], static_cast<uint16_t>(kUdpHeaderSize + payload_size));
+  PutU16(&hdr[kIpHeaderSize + 6], 0);  // checksum placeholder
 
-  std::copy(payload.begin(), payload.end(), b.begin() + kPacketHeaderSize);
+  // The pooled buffer arrives empty with room for the datagram (and a trace
+  // trailer), so each piece is copied once and nothing is zero-filled.
+  Packet pkt;
+  pkt.data_ = PacketPool::Default().Acquire(kPacketHeaderSize + payload_size);
+  pkt.trace_state_ = kTraceAbsent;  // freshly built: no trailer yet
+  Bytes& b = pkt.data_;
+  b.insert(b.end(), hdr, hdr + kPacketHeaderSize);
+  b.insert(b.end(), head.begin(), head.end());
+  b.insert(b.end(), body.begin(), body.end());
   pkt.RecomputeChecksums();
   return pkt;
 }

@@ -80,8 +80,10 @@ class Packet {
   }
 
   // Builds a UDP packet with correct lengths and both checksums filled in.
-  // The buffer comes from PacketPool::Default().
-  static Packet MakeUdp(Endpoint src, Endpoint dst, ByteSpan payload);
+  // The payload is `head` followed by `body`, gathered straight into the
+  // buffer from PacketPool::Default(): an RPC client sends its call header
+  // and its retained args buffer without first joining them.
+  static Packet MakeUdp(Endpoint src, Endpoint dst, ByteSpan head, ByteSpan body = {});
 
   bool IsValidUdp() const;
 

@@ -9,33 +9,28 @@ bool g_pool_enabled = true;
 
 Bytes PacketPool::Acquire(size_t size) {
   ++acquires_;
-  if (g_pool_enabled && !free_.empty()) {
-    Bytes buf = std::move(free_.back());
-    free_.pop_back();
-    if (buf.capacity() >= size) {
-      ++recycle_hits_;
-      buf.clear();
-      buf.resize(size);
-      return buf;
-    }
-    // Rare: a recycled buffer too small for a jumbo datagram; fall through to
-    // a fresh allocation and let the undersized buffer die here.
+  const size_t need = size + kTrailerSlack;
+  std::vector<Bytes>& list = need <= kBufferCapacity ? frames_ : large_;
+  if (g_pool_enabled && !list.empty() && list.back().capacity() >= need) {
+    Bytes buf = std::move(list.back());
+    list.pop_back();
+    ++recycle_hits_;
+    buf.clear();
+    return buf;
   }
   Bytes buf;
-  // 64 bytes of slack keeps AttachTrace realloc-free even on jumbo datagrams
-  // that exceed the pooled capacity.
-  buf.reserve(size + 64 > kBufferCapacity ? size + 64 : kBufferCapacity);
-  buf.resize(size);
+  buf.reserve(need > kBufferCapacity ? need : kBufferCapacity);
   return buf;
 }
 
 void PacketPool::Release(Bytes&& buf) {
   ++releases_;
-  if (!g_pool_enabled || buf.capacity() < kBufferCapacity ||
-      buf.capacity() > kMaxRecycleCapacity || free_.size() >= kMaxFreeBuffers) {
+  const size_t capacity = buf.capacity();
+  if (!g_pool_enabled || capacity < kBufferCapacity || capacity > kMaxRecycleCapacity ||
+      free_buffers() >= kMaxFreeBuffers) {
     return;  // Bytes destructor frees it
   }
-  free_.push_back(std::move(buf));
+  (capacity == kBufferCapacity ? frames_ : large_).push_back(std::move(buf));
 }
 
 PacketPool& PacketPool::Default() {

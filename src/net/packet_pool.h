@@ -15,7 +15,13 @@
 // the default pool on destruction; copies deep-copy (slow paths only), moves
 // transfer the buffer. Recycling is capacity-gated — undersized external
 // buffers and oversized jumbo payloads are simply freed — so the pool's
-// footprint is bounded by kMaxFreeBuffers * buffer capacity.
+// footprint is bounded by kMaxFreeBuffers * kMaxRecycleCapacity.
+//
+// Two size classes: buffers of exactly kBufferCapacity serve datagrams that
+// fit a jumbo frame, and larger ones (bulk 32KB WRITE calls and READ
+// replies) sit on their own list, so a bulk datagram never pops a frame
+// buffer it cannot use, and a fit is one capacity check on the newest
+// buffer of its class.
 #ifndef SLICE_NET_PACKET_POOL_H_
 #define SLICE_NET_PACKET_POOL_H_
 
@@ -37,17 +43,25 @@ class PacketPool {
   static constexpr size_t kMaxRecycleCapacity = 256 * 1024;
   static constexpr size_t kMaxFreeBuffers = 256;
 
-  PacketPool() { free_.reserve(kMaxFreeBuffers); }
+  // Slack past the datagram so AttachTrace never reallocates.
+  static constexpr size_t kTrailerSlack = 64;
 
-  // Returns a buffer resized to `size` with capacity >= max(size +
-  // trailer slack, kBufferCapacity). Recycles from the freelist when enabled.
+  PacketPool() {
+    frames_.reserve(kMaxFreeBuffers);
+    large_.reserve(kMaxFreeBuffers);
+  }
+
+  // Returns an empty buffer whose capacity holds `size` bytes plus the
+  // trailer slack, and is at least kBufferCapacity; the caller appends the
+  // datagram. Recycles the newest buffer of the matching size class when
+  // enabled and it fits, and allocates otherwise.
   Bytes Acquire(size_t size);
 
   // Takes ownership of a dead packet's buffer; recycles it when it meets the
-  // capacity gate and the freelist has room, frees it otherwise.
+  // capacity gate and the freelists have room, frees it otherwise.
   void Release(Bytes&& buf);
 
-  size_t free_buffers() const { return free_.size(); }
+  size_t free_buffers() const { return frames_.size() + large_.size(); }
   uint64_t acquires() const { return acquires_; }
   uint64_t recycle_hits() const { return recycle_hits_; }
   uint64_t releases() const { return releases_; }
@@ -63,7 +77,10 @@ class PacketPool {
   static bool Enabled();
 
  private:
-  std::vector<Bytes> free_;
+  // Free buffers of capacity kBufferCapacity, and of larger capacity; the
+  // two together hold at most kMaxFreeBuffers.
+  std::vector<Bytes> frames_;
+  std::vector<Bytes> large_;
   uint64_t acquires_ = 0;
   uint64_t recycle_hits_ = 0;
   uint64_t releases_ = 0;

@@ -91,8 +91,8 @@ void NfsClient::Write(const FileHandle& file, uint64_t offset, ByteSpan data, St
   args.offset = offset;
   args.count = static_cast<uint32_t>(data.size());
   args.stable = stable;
-  args.data.assign(data.begin(), data.end());
-  args.Encode(enc);
+  args.data = data;
+  args.Encode(enc);  // the one copy of the payload: into the retained args buffer
   CallTyped(NfsProc::kWrite, enc.Take(), std::move(cb));
 }
 

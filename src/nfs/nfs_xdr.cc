@@ -269,6 +269,9 @@ Result<ReadArgs> ReadArgs::Decode(XdrDecoder& dec) {
 }
 
 void WriteArgs::Encode(XdrEncoder& enc) const {
+  // fhandle (length word + bytes), offset, count, stable_how, opaque length.
+  constexpr size_t kHead = 4 + FileHandle::kSize + 8 + 4 + 4 + 4;
+  enc.Reserve(kHead + data.size() + XdrPad(data.size()));
   EncodeFileHandle(enc, file);
   enc.PutUint64(offset);
   enc.PutUint32(count);
@@ -286,7 +289,12 @@ Result<WriteArgs> WriteArgs::Decode(XdrDecoder& dec) {
     return Status(StatusCode::kCorrupt, "nfs: bad stable_how");
   }
   args.stable = static_cast<StableHow>(stable);
-  SLICE_ASSIGN_OR_RETURN(args.data, dec.GetOpaqueVar(1 << 20));
+  SLICE_ASSIGN_OR_RETURN(uint32_t len, dec.GetUint32());
+  if (len > (1u << 20)) {
+    return Status(StatusCode::kCorrupt, "xdr: opaque too long");
+  }
+  SLICE_ASSIGN_OR_RETURN(ByteSpan padded, dec.GetRawView(len + XdrPad(len)));
+  args.data = padded.first(len);
   return args;
 }
 

@@ -73,12 +73,16 @@ struct ReadArgs {
   static Result<ReadArgs> Decode(XdrDecoder& dec);
 };
 
+// `data` is a view, not a copy. Encode reads the payload from wherever the
+// caller holds it; Decode aliases the decoder's buffer (on a server, the
+// request datagram), so the decoded args are valid only while that buffer
+// lives. A holder that outlives it takes its own copy and re-points `data`.
 struct WriteArgs {
   FileHandle file;
   uint64_t offset = 0;
   uint32_t count = 0;
   StableHow stable = StableHow::kUnstable;
-  Bytes data;
+  ByteSpan data;
   void Encode(XdrEncoder& enc) const;
   static Result<WriteArgs> Decode(XdrDecoder& dec);
 };

@@ -9,6 +9,8 @@ namespace slice {
 RpcClient::RpcClient(Host& host, EventQueue& queue, RpcClientParams params)
     : host_(host), queue_(queue), params_(params) {
   port_ = host_.Bind(0, [this](Packet&& pkt) { OnPacket(std::move(pkt)); });
+  header_.cred.machine_name = "host" + std::to_string(host_.addr() & 0xff);
+  header_.cred.gids = {0, 5};
 }
 
 RpcClient::~RpcClient() {
@@ -19,19 +21,21 @@ RpcClient::~RpcClient() {
 void RpcClient::Call(Endpoint server, uint32_t prog, uint32_t vers, uint32_t proc, Bytes args,
                      ResponseHandler handler) {
   const uint32_t xid = next_xid_++;
-  RpcCall call;
-  call.xid = xid;
-  call.prog = prog;
-  call.vers = vers;
-  call.proc = proc;
-  call.cred.machine_name = "host" + std::to_string(host_.addr() & 0xff);
-  call.cred.uid = tenant_;
-  call.cred.gids = {0, 5};
-  call.args = std::move(args);
+  header_.xid = xid;
+  header_.prog = prog;
+  header_.vers = vers;
+  header_.proc = proc;
+  header_.cred.uid = tenant_;
 
   PendingCall pending;
   pending.server = server;
-  pending.wire = call.Encode();
+  XdrEncoder head;
+  header_.EncodeHeader(head);
+  pending.head = head.Take();
+  // XDR bodies are word-aligned already; pad anyway so the two pieces are
+  // byte-identical to RpcCall::Encode, which pads the args.
+  args.resize(args.size() + XdrPad(args.size()));
+  pending.args = std::move(args);
   pending.handler = std::move(handler);
   pending.generation = next_generation_++;
   if (tracer_ != nullptr) {
@@ -78,7 +82,7 @@ void RpcClient::Transmit(uint32_t xid) {
   ++pc.transmissions;
   ++calls_sent_;
 
-  Packet pkt = Packet::MakeUdp(local(), pc.server, pc.wire);
+  Packet pkt = Packet::MakeUdp(local(), pc.server, pc.head, pc.args);
   if (tracer_ != nullptr && pc.trace.valid()) {
     pkt.AttachTrace(pc.trace.trace_id, pc.trace.span_id);
   }

@@ -67,7 +67,10 @@ class RpcClient {
  private:
   struct PendingCall {
     Endpoint server;
-    Bytes wire;  // encoded RPC call, kept for retransmission
+    // The encoded call in two pieces, kept for retransmission: the RPC
+    // header and the caller's args buffer, gathered into each datagram.
+    Bytes head;
+    Bytes args;
     ResponseHandler handler;
     int transmissions = 0;
     SimTime next_timeout = 0;
@@ -88,6 +91,9 @@ class RpcClient {
   // Guards timer callbacks scheduled into the event queue against running
   // after this client is destroyed.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  // Per-call header fields are set on this before encoding; the AUTH_SYS
+  // machine name and gid list are built once, in the constructor.
+  RpcCall header_;
   uint32_t next_xid_ = 1;
   uint32_t tenant_ = 0;
   uint64_t next_generation_ = 1;

@@ -3,18 +3,26 @@
 namespace slice {
 namespace {
 
+// AUTH_SYS body length: stamp, machine name (length word + padded bytes),
+// uid, gid, gid count, gids.
+size_t AuthSysBodySize(const AuthSysCred& cred) {
+  return 4 + 4 + cred.machine_name.size() + XdrPad(cred.machine_name.size()) + 4 + 4 + 4 +
+         4 * cred.gids.size();
+}
+
+// The credential as an opaque body, written in place: the length is known up
+// front, so no scratch encoder is needed.
 void EncodeAuthSys(XdrEncoder& enc, const AuthSysCred& cred) {
   enc.PutEnum(static_cast<uint32_t>(RpcAuthFlavor::kSys));
-  XdrEncoder body;
-  body.PutUint32(cred.stamp);
-  body.PutString(cred.machine_name);
-  body.PutUint32(cred.uid);
-  body.PutUint32(cred.gid);
-  body.PutUint32(static_cast<uint32_t>(cred.gids.size()));
+  enc.PutUint32(static_cast<uint32_t>(AuthSysBodySize(cred)));
+  enc.PutUint32(cred.stamp);
+  enc.PutString(cred.machine_name);
+  enc.PutUint32(cred.uid);
+  enc.PutUint32(cred.gid);
+  enc.PutUint32(static_cast<uint32_t>(cred.gids.size()));
   for (uint32_t g : cred.gids) {
-    body.PutUint32(g);
+    enc.PutUint32(g);
   }
-  enc.PutOpaqueVar(body.bytes());
 }
 
 // Parses an AUTH_SYS credential in place: the machine name stays a view into
@@ -66,8 +74,9 @@ void EncodeNullVerifier(XdrEncoder& enc) {
 
 }  // namespace
 
-Bytes RpcCall::Encode() const {
-  XdrEncoder enc;
+void RpcCall::EncodeHeader(XdrEncoder& enc) const {
+  // Six header words, the credential (flavor, length, body), the verifier.
+  enc.Reserve(6 * 4 + 8 + AuthSysBodySize(cred) + 8);
   enc.PutUint32(xid);
   enc.PutEnum(static_cast<uint32_t>(RpcMsgType::kCall));
   enc.PutUint32(kRpcVersion);
@@ -76,6 +85,11 @@ Bytes RpcCall::Encode() const {
   enc.PutUint32(proc);
   EncodeAuthSys(enc, cred);
   EncodeNullVerifier(enc);
+}
+
+Bytes RpcCall::Encode() const {
+  XdrEncoder enc;
+  EncodeHeader(enc);
   enc.PutOpaqueFixed(args);
   return enc.Take();
 }

@@ -72,6 +72,10 @@ struct RpcCall {
   AuthSysCred cred;
   Bytes args;  // procedure-specific XDR body
 
+  // Everything before the args: the RPC header, credential and verifier.
+  // RpcClient sends this and the args as two pieces of one datagram.
+  void EncodeHeader(XdrEncoder& enc) const;
+  // Header plus args in one buffer.
   Bytes Encode() const;
 };
 

@@ -233,15 +233,17 @@ void SmallFileServer::FlushBlocks(std::vector<uint64_t> blocks, std::function<vo
   auto after = std::make_shared<std::function<void()>>(std::move(next));
   for (const Run& run : runs) {
     backing_flushes_ += run.len;
-    Bytes payload;
-    payload.reserve(run.len * kStoreBlockSize);
+    // The run's pages are separate buffers, so they are gathered into one
+    // reused scratch buffer; Write encodes from it before returning.
+    flush_payload_.clear();
     for (uint64_t b = run.start; b < run.start + run.len; ++b) {
       const auto page_it = pages_.find(b);
       SLICE_CHECK(page_it != pages_.end());
-      payload.insert(payload.end(), page_it->second.begin(), page_it->second.end());
+      flush_payload_.insert(flush_payload_.end(), page_it->second.begin(),
+                            page_it->second.end());
     }
     NfsClient& client = *node_clients_[run.start % node_clients_.size()];
-    client.Write(zone_handle_, run.start * kStoreBlockSize, payload, StableHow::kFileSync,
+    client.Write(zone_handle_, run.start * kStoreBlockSize, flush_payload_, StableHow::kFileSync,
                  [this, run, pending, after](Status st, const WriteRes& res) {
                    if (!st.ok() || res.status != Nfsstat3::kOk) {
                      SLICE_WLOG << "sfs: backing flush failed";
@@ -472,15 +474,20 @@ void SmallFileServer::DoWrite(const WriteArgs& args, Done done) {
     }
   }
 
-  EnsureResident(std::move(need), [this, args, cost, done = std::move(done)]() mutable {
-    const uint64_t file_id = args.file.fileid();
+  // The write lands after any residency fetch, when the request datagram
+  // that `args.data` views may be gone: keep one owned copy of the payload.
+  EnsureResident(std::move(need), [this, fh = args.file, offset = args.offset,
+                                   stable = args.stable,
+                                   data = Bytes(args.data.begin(), args.data.end()), cost,
+                                   done = std::move(done)]() mutable {
+    const uint64_t file_id = fh.fileid();
     MapRecord& map = maps_[file_id];
     size_t consumed = 0;
-    while (consumed < args.data.size()) {
-      const uint64_t abs = args.offset + consumed;
+    while (consumed < data.size()) {
+      const uint64_t abs = offset + consumed;
       const uint64_t lblock = abs / kStoreBlockSize;
       const size_t within = abs % kStoreBlockSize;
-      const size_t take = std::min(args.data.size() - consumed, kStoreBlockSize - within);
+      const size_t take = std::min(data.size() - consumed, kStoreBlockSize - within);
       if (map.blocks.size() <= lblock) {
         map.blocks.resize(lblock + 1);
       }
@@ -497,25 +504,26 @@ void SmallFileServer::DoWrite(const WriteArgs& args, Done done) {
         alloc_.Free(extent.fragment);
         extent.fragment = bigger;
       }
-      WriteZone(extent.fragment.offset + within,
-                ByteSpan(args.data.data() + consumed, take), file_id);
+      WriteZone(extent.fragment.offset + within, ByteSpan(data.data() + consumed, take),
+                file_id);
       extent.length = new_length;
       consumed += take;
     }
-    map.size = std::max(map.size, args.offset + args.data.size());
+    map.size = std::max(map.size, offset + data.size());
     LogMapRecord(file_id);
 
-    auto reply = [this, args, cost, done = std::move(done)](StableHow committed) mutable {
+    auto reply = [this, fh, count = static_cast<uint32_t>(data.size()), cost,
+                  done = std::move(done)](StableHow committed) mutable {
       WriteRes res;
-      res.count = static_cast<uint32_t>(args.data.size());
+      res.count = count;
       res.committed = committed;
       res.verf = 0x5f5eull << 32 | params_.server_index;
-      res.wcc.after = MakeAttr(args.file);
+      res.wcc.after = MakeAttr(fh);
       XdrEncoder enc;
       res.Encode(enc);
       done(RpcAcceptStat::kSuccess, enc.Take(), cost);
     };
-    if (args.stable != StableHow::kUnstable) {
+    if (stable != StableHow::kUnstable) {
       FlushFile(file_id, [reply = std::move(reply)]() mutable { reply(StableHow::kFileSync); });
     } else {
       reply(StableHow::kUnstable);

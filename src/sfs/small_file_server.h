@@ -164,6 +164,7 @@ class SmallFileServer : public RpcServerNode {
   bool recovering_ = false;
   uint64_t backing_fetches_ = 0;
   uint64_t backing_flushes_ = 0;
+  Bytes flush_payload_;  // FlushBlocks' per-run gather scratch
   bool syncer_armed_ = false;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };

@@ -6,57 +6,62 @@
 namespace slice {
 
 ObjectStore::ObjectStore(uint64_t capacity_bytes)
-    : capacity_blocks_(capacity_bytes / kStoreBlockSize),
-      allocated_(capacity_blocks_, false) {}
+    : capacity_blocks_(capacity_bytes / kStoreBlockSize) {}
 
 Result<PhysBlock> ObjectStore::AllocBlock(PhysBlock hint) {
   if (used_blocks_ >= capacity_blocks_) {
     return Status(StatusCode::kResourceExhausted, "store: out of blocks");
   }
-  // Try the hint (contiguity), then scan forward from the cursor.
-  if (hint < capacity_blocks_ && !allocated_[hint]) {
-    allocated_[hint] = true;
-    ++used_blocks_;
-    alloc_cursor_ = hint + 1;
-    return hint;
-  }
-  for (uint64_t i = 0; i < capacity_blocks_; ++i) {
-    const PhysBlock candidate = (alloc_cursor_ + i) % capacity_blocks_;
-    if (!allocated_[candidate]) {
-      allocated_[candidate] = true;
-      ++used_blocks_;
-      alloc_cursor_ = candidate + 1;
-      return candidate;
+  // Try the hint (contiguity), then scan forward from the cursor, wrapping.
+  // Blocks past allocated_ are free, so the scan ends there at the latest.
+  PhysBlock pick = hint;
+  if (hint >= capacity_blocks_ || IsAllocated(hint)) {
+    pick = capacity_blocks_;
+    for (uint64_t i = 0; i < capacity_blocks_; ++i) {
+      const PhysBlock candidate = (alloc_cursor_ + i) % capacity_blocks_;
+      if (!IsAllocated(candidate)) {
+        pick = candidate;
+        break;
+      }
+    }
+    if (pick == capacity_blocks_) {
+      return Status(StatusCode::kResourceExhausted, "store: out of blocks");
     }
   }
-  return Status(StatusCode::kResourceExhausted, "store: out of blocks");
+  if (pick >= allocated_.size()) {
+    allocated_.resize(pick + 1, false);
+    disk_.resize(pick + 1);
+  }
+  allocated_[pick] = true;
+  ++used_blocks_;
+  alloc_cursor_ = pick + 1;
+  return pick;
 }
 
 void ObjectStore::FreeBlock(PhysBlock block) {
-  SLICE_CHECK(block < capacity_blocks_ && allocated_[block]);
+  SLICE_CHECK(IsAllocated(block));
   allocated_[block] = false;
-  disk_.erase(block);
+  Bytes().swap(disk_[block]);
   --used_blocks_;
 }
 
-Result<uint8_t*> ObjectStore::StableBlockData(Object& obj, BlockIndex block, PhysBlock hint,
-                                              std::vector<PhysBlock>* newly_written) {
-  auto it = obj.blocks.find(block);
+Result<Bytes*> ObjectStore::StableSlot(Object& obj, BlockIndex block,
+                                       std::vector<PhysBlock>* newly_written) {
   PhysBlock phys;
-  if (it == obj.blocks.end()) {
+  if (auto it = obj.blocks.find(block); it != obj.blocks.end()) {
+    phys = it->second;
+  } else {
+    // Contiguity hint: one past the previous logical block's physical slot.
+    PhysBlock hint = alloc_cursor_;
+    if (auto prev = obj.blocks.find(block == 0 ? 0 : block - 1);
+        block > 0 && prev != obj.blocks.end()) {
+      hint = prev->second + 1;
+    }
     SLICE_ASSIGN_OR_RETURN(phys, AllocBlock(hint));
     obj.blocks[block] = phys;
-  } else {
-    phys = it->second;
   }
-  if (newly_written != nullptr) {
-    newly_written->push_back(phys);
-  }
-  Bytes& payload = disk_[phys];
-  if (payload.size() != kStoreBlockSize) {
-    payload.assign(kStoreBlockSize, 0);
-  }
-  return payload.data();
+  newly_written->push_back(phys);
+  return &disk_[phys];
 }
 
 Result<StoreWriteResult> ObjectStore::Write(ObjectId id, uint64_t offset, ByteSpan data,
@@ -70,37 +75,41 @@ Result<StoreWriteResult> ObjectStore::Write(ObjectId id, uint64_t offset, ByteSp
     const BlockIndex block = abs / kStoreBlockSize;
     const size_t within = abs % kStoreBlockSize;
     const size_t take = std::min(data.size() - consumed, kStoreBlockSize - within);
+    const ByteSpan piece = data.subspan(consumed, take);
+    const bool whole_block = take == kStoreBlockSize;
 
     if (stable) {
-      // Contiguity hint: one past the previous logical block's physical slot.
-      PhysBlock hint = alloc_cursor_;
-      if (auto prev = obj.blocks.find(block == 0 ? 0 : block - 1);
-          block > 0 && prev != obj.blocks.end()) {
-        hint = prev->second + 1;
+      SLICE_ASSIGN_OR_RETURN(Bytes * payload, StableSlot(obj, block, &result.blocks_written));
+      if (whole_block) {
+        payload->assign(piece.begin(), piece.end());
+      } else {
+        if (payload->empty()) {
+          payload->assign(kStoreBlockSize, 0);
+        }
+        std::memcpy(payload->data() + within, piece.data(), take);
       }
-      SLICE_ASSIGN_OR_RETURN(uint8_t * dst,
-                             StableBlockData(obj, block, hint, &result.blocks_written));
-      std::memcpy(dst + within, data.data() + consumed, take);
       // If a dirty overlay exists for this block, the stable write supersedes
       // the overlapped range; fold the stable bytes into the overlay so reads
       // stay coherent.
       if (auto dirty_it = obj.dirty.find(block); dirty_it != obj.dirty.end()) {
-        std::memcpy(dirty_it->second.data() + within, data.data() + consumed, take);
+        std::memcpy(dirty_it->second.data() + within, piece.data(), take);
       }
     } else {
       Bytes& overlay = obj.dirty[block];
-      if (overlay.size() != kStoreBlockSize) {
-        overlay.assign(kStoreBlockSize, 0);
-        // Seed the overlay with the stable image so partial dirty writes do
-        // not clobber surrounding stable bytes at commit time.
-        if (auto sit = obj.blocks.find(block); sit != obj.blocks.end()) {
-          const auto disk_it = disk_.find(sit->second);
-          if (disk_it != disk_.end()) {
-            overlay = disk_it->second;
+      if (whole_block) {
+        overlay.assign(piece.begin(), piece.end());
+      } else {
+        if (overlay.empty()) {
+          // Seed the overlay with the stable image so partial dirty writes do
+          // not clobber surrounding stable bytes at commit time.
+          if (auto sit = obj.blocks.find(block); sit != obj.blocks.end()) {
+            overlay = disk_[sit->second];
+          } else {
+            overlay.assign(kStoreBlockSize, 0);
           }
         }
+        std::memcpy(overlay.data() + within, piece.data(), take);
       }
-      std::memcpy(overlay.data() + within, data.data() + consumed, take);
     }
     consumed += take;
   }
@@ -140,10 +149,7 @@ Result<bool> ObjectStore::ReadInto(ObjectId id, uint64_t offset, uint32_t count,
       std::memcpy(data->data() + produced, dirty_it->second.data() + within, take);
     } else if (auto sit = obj.blocks.find(block); sit != obj.blocks.end()) {
       blocks_read->push_back(sit->second);
-      const auto disk_it = disk_.find(sit->second);
-      if (disk_it != disk_.end()) {
-        std::memcpy(data->data() + produced, disk_it->second.data() + within, take);
-      }
+      std::memcpy(data->data() + produced, disk_[sit->second].data() + within, take);
     }
     // else: hole — zeros already there.
     produced += take;
@@ -158,37 +164,30 @@ Result<StoreReadResult> ObjectStore::Read(ObjectId id, uint64_t offset, uint32_t
   return result;
 }
 
-std::vector<PhysBlock> ObjectStore::Commit(ObjectId id) {
+std::vector<PhysBlock> ObjectStore::Commit(ObjectId id, Status* status) {
   std::vector<PhysBlock> written;
   auto obj_it = objects_.find(id);
   if (obj_it == objects_.end()) {
     return written;
   }
   Object& obj = obj_it->second;
-  for (auto& [block, payload] : obj.dirty) {
-    PhysBlock hint = alloc_cursor_;
-    if (auto prev = obj.blocks.find(block == 0 ? 0 : block - 1);
-        block > 0 && prev != obj.blocks.end()) {
-      hint = prev->second + 1;
+  uint64_t stable_end = obj.unstable_size;
+  // The overlay buffer moves into its stable slot: an overlay block is
+  // always whole, so nothing is copied.
+  for (auto it = obj.dirty.begin(); it != obj.dirty.end(); it = obj.dirty.erase(it)) {
+    Result<Bytes*> slot = StableSlot(obj, it->first, &written);
+    if (!slot.ok()) {
+      // Out of space: this block and the ones after it stay dirty, and the
+      // stable size covers only the flushed prefix.
+      stable_end = std::min(stable_end, it->first * kStoreBlockSize);
+      if (status != nullptr) {
+        *status = slot.status();
+      }
+      break;
     }
-    Result<uint8_t*> dst = StableBlockData(obj, block, hint, &written);
-    if (!dst.ok()) {
-      break;  // out of space mid-commit; remaining blocks stay dirty
-    }
-    std::memcpy(*dst, payload.data(), kStoreBlockSize);
+    **slot = std::move(it->second);
   }
-  obj.dirty.clear();
-  obj.size = std::max(obj.size, obj.unstable_size);
-  return written;
-}
-
-std::vector<PhysBlock> ObjectStore::CommitAll() {
-  std::vector<PhysBlock> written;
-  for (auto& [id, obj] : objects_) {
-    (void)obj;
-    std::vector<PhysBlock> w = Commit(id);
-    written.insert(written.end(), w.begin(), w.end());
-  }
+  obj.size = std::max(obj.size, stable_end);
   return written;
 }
 
@@ -225,11 +224,8 @@ Status ObjectStore::Truncate(ObjectId id, uint64_t size) {
   if (tail != 0 && size < std::max(obj.size, obj.unstable_size)) {
     const BlockIndex boundary = size / kStoreBlockSize;
     if (auto bit = obj.blocks.find(boundary); bit != obj.blocks.end()) {
-      auto disk_it = disk_.find(bit->second);
-      if (disk_it != disk_.end()) {
-        std::fill(disk_it->second.begin() + static_cast<ptrdiff_t>(tail),
-                  disk_it->second.end(), 0);
-      }
+      Bytes& payload = disk_[bit->second];
+      std::fill(payload.begin() + static_cast<ptrdiff_t>(tail), payload.end(), 0);
     }
     if (auto dit = obj.dirty.find(boundary); dit != obj.dirty.end()) {
       std::fill(dit->second.begin() + static_cast<ptrdiff_t>(tail), dit->second.end(), 0);

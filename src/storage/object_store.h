@@ -68,10 +68,11 @@ class ObjectStore {
 
   // Flushes the object's dirty overlay to the stable image; returns the
   // physical blocks written so the caller can charge (clustered) disk time.
-  // Committing a missing/clean object succeeds with no blocks.
-  std::vector<PhysBlock> Commit(ObjectId id);
-  // Commits every object (periodic syncer / clean shutdown).
-  std::vector<PhysBlock> CommitAll();
+  // Committing a missing/clean object succeeds with no blocks. If the store
+  // runs out of blocks, the flush stops there: that block and the ones after
+  // it stay dirty, the stable size stops before them, and `*status` (when
+  // given) is set to kResourceExhausted.
+  std::vector<PhysBlock> Commit(ObjectId id, Status* status = nullptr);
 
   // Truncates to `size` (frees whole blocks beyond it).
   Status Truncate(ObjectId id, uint64_t size);
@@ -104,19 +105,28 @@ class ObjectStore {
     std::map<BlockIndex, Bytes> dirty;              // overlay, 8KB buffers
   };
 
+  bool IsAllocated(PhysBlock block) const {
+    return block < allocated_.size() && allocated_[block];
+  }
   Result<PhysBlock> AllocBlock(PhysBlock hint);
   void FreeBlock(PhysBlock block);
-  // Stable-image block data pointer (allocating if needed).
-  Result<uint8_t*> StableBlockData(Object& obj, BlockIndex block, PhysBlock hint,
-                                   std::vector<PhysBlock>* newly_written);
+  // The stable payload slot backing (obj, block), allocating a physical
+  // block (placed after the previous logical block's, for contiguity) if
+  // none backs it yet, and appending it to `newly_written`. A fresh slot is
+  // empty; the caller fills all kStoreBlockSize bytes of it.
+  Result<Bytes*> StableSlot(Object& obj, BlockIndex block,
+                            std::vector<PhysBlock>* newly_written);
 
   uint64_t capacity_blocks_;
   uint64_t used_blocks_ = 0;
   PhysBlock alloc_cursor_ = 0;
   std::unordered_map<ObjectId, Object> objects_;
-  // Physical block payloads. Allocated lazily; indexed by PhysBlock.
-  std::unordered_map<PhysBlock, Bytes> disk_;
+  // Allocation bits and block payloads, both indexed by PhysBlock and grown
+  // only to the highest block used, so a store costs what it holds rather
+  // than its capacity. An allocated block's payload is kStoreBlockSize
+  // bytes; a free block's is empty.
   std::vector<bool> allocated_;
+  std::vector<Bytes> disk_;
 };
 
 }  // namespace slice

@@ -286,9 +286,13 @@ void StorageNode::HandleCommit(const CommitArgs& args, XdrEncoder& reply, Servic
     res.Encode(reply);
     return;
   }
-  std::vector<PhysBlock> written = store_.Commit(ObjectIdFor(args.file));
+  Status flushed;
+  std::vector<PhysBlock> written = store_.Commit(ObjectIdFor(args.file), &flushed);
   cost.MergeCompletion(ChargeWrites(written));
   cost.AddCpu(FromMicros(params_.op_cpu_us));
+  if (!flushed.ok()) {
+    res.status = Nfsstat3::kErrNospc;  // the unflushed blocks stay dirty
+  }
   res.verf = write_verifier_;
   res.wcc.after = MakeAttr(args.file);
   res.Encode(reply);

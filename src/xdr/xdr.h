@@ -44,6 +44,10 @@ class XdrEncoder {
   // µproxy's attr-patch scratch) reaches a steady state with no allocations.
   void Clear() { buf_.clear(); }
 
+  // Ensures room for `n` more bytes, so an encode whose size is known up
+  // front (a WRITE payload) fills one buffer instead of regrowing it.
+  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
+
  private:
   Bytes buf_;
 };

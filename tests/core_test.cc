@@ -106,12 +106,13 @@ TEST(RequestDecodeTest, ReadFields) {
 
 TEST(RequestDecodeTest, WriteCarriesStability) {
   const Bytes wire = EncodeCall(NfsProc::kWrite, [](XdrEncoder& enc) {
+    const Bytes payload = {1, 2, 3};
     WriteArgs args;
     args.file = RegFh(9);
     args.offset = 100;
     args.count = 3;
     args.stable = StableHow::kFileSync;
-    args.data = {1, 2, 3};
+    args.data = payload;
     args.Encode(enc);
   });
   DecodedView req;

@@ -12,6 +12,7 @@
 #include <new>
 
 #include "src/core/uproxy.h"
+#include "src/nfs/nfs_client.h"
 #include "src/net/packet_pool.h"
 #include "src/nfs/nfs_xdr.h"
 #include "src/obs/metrics.h"
@@ -19,11 +20,19 @@
 #include "src/rpc/rpc_message.h"
 #include "src/storage/storage_node.h"
 
-// Counts every operator-new in the process; the test measures deltas.
+// Counts every operator-new in the process, its bytes, and the allocations
+// of at least a bulk payload (32 KB); the tests measure deltas.
+static constexpr std::size_t kBulkBytes = 32 << 10;
 static uint64_t g_news = 0;
+static uint64_t g_new_bytes = 0;
+static uint64_t g_bulk_news = 0;
 
 void* operator new(std::size_t size) {
   ++g_news;
+  g_new_bytes += size;
+  if (size >= kBulkBytes) {
+    ++g_bulk_news;
+  }
   if (void* p = std::malloc(size ? size : 1)) {
     return p;
   }
@@ -318,6 +327,68 @@ TEST(FastPathAllocTest, FullPathThroughStorageNodeDoesNotAllocate) {
   // Each trip recycles at least the request and reply packet buffers.
   EXPECT_GE(PacketPool::Default().recycle_hits() - pool_hits_before, 2u * 256u);
   EXPECT_EQ(uproxy.pending_count(), 0u);
+}
+
+// A 32 KB WRITE from an NfsClient to a storage node copies its payload
+// once into the call's retained args buffer, once into a pooled datagram,
+// and once into the store; the server decodes it as a view. After warm-up
+// the only bulk-sized allocation per call is that args buffer.
+TEST(FastPathAllocTest, WritePayloadAllocatedOncePerCall) {
+  ASSERT_TRUE(PacketPool::Enabled());
+
+  EventQueue queue;
+  Network net(queue, NetworkParams{});
+  StorageNode storage(net, queue, kStorageAddr, StorageNodeParams{});
+  Host client_host(net, kClientAddr);
+  NfsClient client(client_host, queue, Endpoint{kStorageAddr, kNfsPort});
+
+  const FileHandle fh = FileHandle::Make(1, MakeFileid(0, 43), 1, FileType3::kReg, 1, 0);
+  const Bytes payload(kBulkBytes, 0x6b);
+  uint64_t offset = 0;
+  uint64_t acked = 0;
+  auto write = [&]() {
+    client.Write(fh, offset, payload, StableHow::kUnstable,
+                 [&acked](Status st, const WriteRes& res) {
+                   if (st.ok() && res.status == Nfsstat3::kOk && res.count == kBulkBytes) {
+                     ++acked;
+                   }
+                 });
+    offset += payload.size();
+    queue.RunUntilIdle();
+  };
+
+  constexpr uint64_t kWarmup = 8;
+  constexpr uint64_t kCalls = 64;
+  for (uint64_t i = 0; i < kWarmup; ++i) {
+    write();
+  }
+  const uint64_t bulk_before = g_bulk_news;
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    write();
+  }
+  const uint64_t bulk_news = g_bulk_news - bulk_before;
+
+  EXPECT_LE(bulk_news, kCalls) << bulk_news << " allocations of >= 32 KB over " << kCalls
+                               << " WRITEs; only the retained args buffer should be one";
+  EXPECT_EQ(acked, kWarmup + kCalls);
+  EXPECT_EQ(storage.store().dirty_blocks(), (kWarmup + kCalls) * kBulkBytes / kStoreBlockSize);
+}
+
+// The object store sizes its allocation bits and block payloads by the
+// blocks it holds, so a node's construction cost does not depend on its
+// capacity.
+TEST(FastPathAllocTest, StorageNodeConstructionIndependentOfCapacity) {
+  EventQueue queue;
+  Network net(queue, NetworkParams{});
+  StorageNodeParams params;
+  params.capacity_bytes = 1ull << 40;  // 1 TB: 2^27 blocks
+  const uint64_t bytes_before = g_new_bytes;
+  StorageNode storage(net, queue, kStorageAddr, params);
+  const uint64_t bytes = g_new_bytes - bytes_before;
+  EXPECT_LT(bytes, 64u << 10) << "constructing a 1 TB storage node allocated " << bytes
+                              << " bytes";
+  EXPECT_EQ(storage.store().capacity_blocks(), (1ull << 40) / kStoreBlockSize);
+  EXPECT_EQ(storage.store().used_blocks(), 0u);
 }
 
 // With pooling disabled (the determinism A/B hook) the same traffic must

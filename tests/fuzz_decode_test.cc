@@ -116,10 +116,11 @@ TEST_P(FuzzSeedTest, BitFlippedValidCallsNeverCrashTheDecoder) {
   call.prog = kNfsProgram;
   call.vers = kNfsVersion;
   call.proc = static_cast<uint32_t>(NfsProc::kWrite);
+  const Bytes payload = RandomBytes(rng, 300);
   WriteArgs wargs;
   wargs.file = FileHandle::Make(1, 5, 1, FileType3::kReg, 1, 0);
   wargs.offset = 8192;
-  wargs.data = RandomBytes(rng, 300);
+  wargs.data = payload;
   wargs.count = 300;
   XdrEncoder enc;
   wargs.Encode(enc);

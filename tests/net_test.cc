@@ -7,6 +7,7 @@
 
 #include "src/net/network.h"
 #include "src/net/packet.h"
+#include "src/net/packet_pool.h"
 
 namespace slice {
 namespace {
@@ -68,6 +69,71 @@ TEST(PacketTest, EmptyPayload) {
   EXPECT_TRUE(pkt.IsValidUdp());
   EXPECT_EQ(pkt.payload().size(), 0u);
   EXPECT_TRUE(pkt.VerifyChecksums());
+}
+
+// A gathered datagram (RPC header + retained args) is byte-for-byte the
+// datagram of the joined payload, checksums and trace trailer included.
+TEST(PacketTest, GatheredPayloadMatchesConcatenation) {
+  Bytes head(45);  // odd length: the checksum pairs bytes across the join
+  Bytes body(1001);
+  for (size_t i = 0; i < head.size(); ++i) {
+    head[i] = static_cast<uint8_t>(i * 13 + 1);
+  }
+  for (size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  Bytes joined = head;
+  joined.insert(joined.end(), body.begin(), body.end());
+  const Endpoint src{kHostA, 1000};
+  const Endpoint dst{kHostB, 2049};
+  for (bool traced : {false, true}) {
+    Packet gathered = Packet::MakeUdp(src, dst, head, body);
+    Packet flat = Packet::MakeUdp(src, dst, joined);
+    if (traced) {
+      gathered.AttachTrace(0x1111, 0x2222);
+      flat.AttachTrace(0x1111, 0x2222);
+    }
+    EXPECT_EQ(gathered.bytes(), flat.bytes()) << "traced=" << traced;
+    EXPECT_EQ(gathered.ip_checksum(), flat.ip_checksum());
+    EXPECT_EQ(gathered.udp_checksum(), flat.udp_checksum());
+    EXPECT_TRUE(gathered.VerifyChecksums());
+    EXPECT_EQ(gathered.HasTrace(), traced);
+  }
+}
+
+// Buffers above the frame capacity sit in their own size class: a bulk
+// datagram recycles a bulk buffer and leaves frame buffers pooled.
+TEST(PacketPoolTest, LargeDatagramRecyclesLargeBufferAndKeepsFrameBuffer) {
+  ASSERT_TRUE(PacketPool::Enabled());
+  PacketPool pool;
+  Bytes large;
+  large.reserve(40 << 10);
+  Bytes frame = pool.Acquire(9000);
+  EXPECT_TRUE(frame.empty()) << "Acquire hands out an empty buffer to append into";
+  EXPECT_EQ(frame.capacity(), PacketPool::kBufferCapacity);
+  const uint8_t* large_buf = large.data();
+  const uint8_t* frame_buf = frame.data();
+  pool.Release(std::move(large));
+  pool.Release(std::move(frame));
+  ASSERT_EQ(pool.free_buffers(), 2u);
+
+  Bytes bulk = pool.Acquire(33 << 10);
+  EXPECT_EQ(bulk.data(), large_buf);
+  EXPECT_TRUE(bulk.empty());
+  EXPECT_EQ(pool.recycle_hits(), 1u);
+  EXPECT_EQ(pool.free_buffers(), 1u) << "the frame buffer stays pooled";
+
+  // A bulk request the newest bulk buffer cannot hold allocates fresh and
+  // leaves the pool as it was.
+  pool.Release(std::move(bulk));
+  Bytes bigger = pool.Acquire(64 << 10);
+  EXPECT_GE(bigger.capacity(), (64u << 10) + PacketPool::kTrailerSlack);
+  EXPECT_EQ(pool.recycle_hits(), 1u);
+  EXPECT_EQ(pool.free_buffers(), 2u);
+
+  Bytes small = pool.Acquire(100);
+  EXPECT_EQ(small.data(), frame_buf);
+  EXPECT_EQ(pool.recycle_hits(), 2u);
 }
 
 TEST(PacketTest, AddrFormatting) {

@@ -167,19 +167,29 @@ TEST(NfsArgsTest, ReadArgsRoundTrip) {
 }
 
 TEST(NfsArgsTest, WriteArgsRoundTrip) {
+  Rng rng(5);
+  Bytes payload(1000);
+  for (auto& b : payload) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
   WriteArgs args;
   args.file = TestFh();
   args.offset = 8192;
-  Rng rng(5);
-  args.data.resize(1000);
-  for (auto& b : args.data) {
-    b = static_cast<uint8_t>(rng.NextU64());
-  }
+  args.data = payload;
   args.count = 1000;
   args.stable = StableHow::kFileSync;
-  WriteArgs out = RoundTripArgs(args);
-  EXPECT_EQ(out.data, args.data);
-  EXPECT_EQ(out.stable, StableHow::kFileSync);
+  // The decoded payload is a view into the encoder's buffer, so decode here
+  // rather than through RoundTripArgs, whose buffer dies when it returns.
+  XdrEncoder enc;
+  args.Encode(enc);
+  XdrDecoder dec(enc.bytes());
+  Result<WriteArgs> out = WriteArgs::Decode(dec);
+  ASSERT_TRUE(out.ok());
+  EXPECT_TRUE(dec.exhausted());
+  EXPECT_EQ(Bytes(out->data.begin(), out->data.end()), payload);
+  EXPECT_EQ(out->data.data(), enc.bytes().data() + enc.size() - payload.size())
+      << "Decode aliases the buffer instead of copying the payload";
+  EXPECT_EQ(out->stable, StableHow::kFileSync);
 }
 
 TEST(NfsArgsTest, DirOpArgsRoundTrip) {

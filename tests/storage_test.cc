@@ -167,6 +167,30 @@ TEST(ObjectStoreTest, OutOfSpaceReported) {
   EXPECT_EQ(w.status().code(), StatusCode::kResourceExhausted);
 }
 
+// A commit that runs out of blocks keeps the unflushed blocks dirty, so
+// nothing acknowledged is dropped, and reports the failure.
+TEST(ObjectStoreTest, CommitOutOfSpaceKeepsUnflushedBlocksDirty) {
+  ObjectStore store(2 * kStoreBlockSize);
+  const Bytes data = Pattern(3 * kStoreBlockSize);
+  ASSERT_TRUE(store.Write(1, 0, data, false).ok());
+  ASSERT_EQ(store.dirty_blocks(), 3u);
+
+  Status status;
+  const std::vector<PhysBlock> written = store.Commit(1, &status);
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(written.size(), 2u);
+  EXPECT_EQ(store.dirty_blocks(), 1u);
+  EXPECT_EQ(store.Read(1, 0, 3 * kStoreBlockSize).value().data, data)
+      << "the third block reads back its bytes, not zeros";
+
+  // The stable size covers only the flushed prefix: a crash loses the
+  // unflushed block and nothing else.
+  store.CrashDiscardDirty();
+  EXPECT_EQ(store.Size(1).value(), 2 * kStoreBlockSize);
+  EXPECT_EQ(store.Read(1, 0, 3 * kStoreBlockSize).value().data,
+            Bytes(data.begin(), data.begin() + 2 * kStoreBlockSize));
+}
+
 TEST(ObjectStoreTest, ManyObjectsIndependent) {
   ObjectStore store(64 << 20);
   for (uint64_t id = 1; id <= 100; ++id) {
@@ -404,6 +428,28 @@ TEST_F(StorageNodeTest, UnstableWriteThenCommitDurable) {
   EXPECT_NE(w2.verf, verf);
 }
 
+// The storage node's COMMIT reply carries the out-of-space failure instead
+// of acknowledging data it could not make stable.
+TEST(StorageNodeNospcTest, CommitOutOfSpaceRepliesNospc) {
+  EventQueue queue;
+  Network net(queue, NetworkParams{});
+  StorageNodeParams params;
+  params.volume_secret = kSecret;
+  params.capacity_bytes = 2 * kStoreBlockSize;
+  StorageNode node(net, queue, 0x0a000010, params);
+  Host client_host(net, 0x0a000001);
+  SyncNfsClient client(client_host, queue, Endpoint{0x0a000010, kNfsPort});
+  const FileHandle fh = FileHandle::Make(1, 1, 1, FileType3::kReg, 1, kSecret);
+
+  const Bytes data = Pattern(3 * kStoreBlockSize);
+  ASSERT_EQ(client.Write(fh, 0, data, StableHow::kUnstable).value().status, Nfsstat3::kOk);
+  EXPECT_EQ(client.Commit(fh).value().status, Nfsstat3::kErrNospc);
+  EXPECT_EQ(node.store().dirty_blocks(), 1u);
+  ReadRes r = client.Read(fh, 0, static_cast<uint32_t>(data.size())).value();
+  ASSERT_EQ(r.status, Nfsstat3::kOk);
+  EXPECT_EQ(r.data, data);
+}
+
 TEST_F(StorageNodeTest, CrashLosesUncommittedWrites) {
   const Bytes data = Pattern(8192);
   ASSERT_EQ(client_.Write(Fh(), 0, data, StableHow::kUnstable).value().status, Nfsstat3::kOk);
@@ -559,9 +605,10 @@ TEST_F(StorageNodeDrcTest, CompletedDuplicateReadReexecutes) {
 }
 
 TEST_F(StorageNodeDrcTest, DuplicateWriteAndCommitReplayWithoutReexecuting) {
+  const Bytes payload = Pattern(8192);
   WriteArgs write;
   write.file = Fh();
-  write.data = Pattern(8192);
+  write.data = payload;
   write.count = static_cast<uint32_t>(write.data.size());
   XdrEncoder write_args;
   write.Encode(write_args);
