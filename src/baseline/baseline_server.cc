@@ -12,7 +12,7 @@ BaselineServer::BaselineServer(Network& net, EventQueue& queue, NetAddr addr,
       cache_(params.cache_bytes),
       disks_(params.num_disks, params.disk, params.channel_mb_per_s),
       write_verifier_(Fnv1a64(std::string_view("baseline")) ^ addr) {
-  attrs_[kRootBaselineFileid] = NewAttr(kRootBaselineFileid, FileType3::kDir);
+  (void)store_.InsertAttr(kRootBaselineFileid, NewAttr(kRootBaselineFileid, FileType3::kDir));
 }
 
 FileHandle BaselineServer::RootHandle() const {
@@ -29,8 +29,8 @@ FileHandle BaselineServer::MintHandle(uint64_t fileid, FileType3 type) const {
 }
 
 Fattr3* BaselineServer::FindAttr(uint64_t fileid) {
-  auto it = attrs_.find(fileid);
-  return it == attrs_.end() ? nullptr : &it->second;
+  AttrCell* cell = store_.FindAttr(fileid);
+  return cell == nullptr ? nullptr : &cell->attr;
 }
 
 Fattr3 BaselineServer::NewAttr(uint64_t fileid, FileType3 type) const {
@@ -135,12 +135,12 @@ void BaselineServer::DoLookup(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& c
   if (Fattr3* dir_attr = FindAttr(args->dir.fileid()); dir_attr != nullptr) {
     res.dir_attributes = *dir_attr;
   }
-  const auto it = entries_.find(EntryKey{args->dir.fileid(), args->name});
-  if (it == entries_.end()) {
+  const Result<FileHandle> child = store_.FindEntry(args->dir.fileid(), args->name);
+  if (!child.ok()) {
     res.status = Nfsstat3::kErrNoent;
   } else {
-    res.object = it->second;
-    if (Fattr3* attr = FindAttr(it->second.fileid()); attr != nullptr) {
+    res.object = *child;
+    if (Fattr3* attr = FindAttr(child->fileid()); attr != nullptr) {
       res.obj_attributes = *attr;
     }
   }
@@ -165,14 +165,12 @@ void BaselineServer::DoReadlink(XdrDecoder& dec, XdrEncoder& reply, ServiceCost&
   (void)cost;
   ReadlinkRes res;
   Result<GetattrArgs> args = GetattrArgs::Decode(dec);
-  const auto it = args.ok() ? symlinks_.find(args->object.fileid()) : symlinks_.end();
-  if (it == symlinks_.end()) {
-    res.status = Nfsstat3::kErrInval;
+  const AttrCell* cell = args.ok() ? store_.FindAttr(args->object.fileid()) : nullptr;
+  if (cell == nullptr || cell->attr.type != FileType3::kLnk) {
+    res.status = cell == nullptr ? Nfsstat3::kErrStale : Nfsstat3::kErrInval;
   } else {
-    res.target = it->second;
-    if (Fattr3* attr = FindAttr(args->object.fileid()); attr != nullptr) {
-      res.symlink_attributes = *attr;
-    }
+    res.symlink_attributes = cell->attr;
+    res.target = cell->symlink_target;
   }
   res.Encode(reply);
 }
@@ -244,11 +242,11 @@ void BaselineServer::DoCreate(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& c
     res.Encode(reply);
     return;
   }
-  const EntryKey key{args->dir.fileid(), args->name};
-  if (const auto it = entries_.find(key); it != entries_.end()) {
+  if (const Result<FileHandle> existing = store_.FindEntry(args->dir.fileid(), args->name);
+      existing.ok()) {
     if (args->mode == CreateMode::kUnchecked) {
-      res.object = it->second;
-      if (Fattr3* attr = FindAttr(it->second.fileid()); attr != nullptr) {
+      res.object = *existing;
+      if (Fattr3* attr = FindAttr(existing->fileid()); attr != nullptr) {
         res.obj_attributes = *attr;
       }
     } else {
@@ -259,12 +257,11 @@ void BaselineServer::DoCreate(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& c
   }
   const uint64_t fileid = next_fileid_++;
   const FileHandle fh = MintHandle(fileid, FileType3::kReg);
-  attrs_[fileid] = NewAttr(fileid, FileType3::kReg);
-  entries_[key] = fh;
-  dir_index_[args->dir.fileid()][args->name] = fh;
+  res.obj_attributes = NewAttr(fileid, FileType3::kReg);
+  (void)store_.InsertAttr(fileid, *res.obj_attributes);
+  (void)store_.InsertEntry(args->dir.fileid(), args->name, fh);
   TouchDir(args->dir.fileid(), +1, 0);
   res.object = fh;
-  res.obj_attributes = attrs_[fileid];
   res.Encode(reply);
 }
 
@@ -277,20 +274,18 @@ void BaselineServer::DoMkdir(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& co
     res.Encode(reply);
     return;
   }
-  const EntryKey key{args->dir.fileid(), args->name};
-  if (entries_.contains(key)) {
+  if (store_.FindEntry(args->dir.fileid(), args->name).ok()) {
     res.status = Nfsstat3::kErrExist;
     res.Encode(reply);
     return;
   }
   const uint64_t fileid = next_fileid_++;
   const FileHandle fh = MintHandle(fileid, FileType3::kDir);
-  attrs_[fileid] = NewAttr(fileid, FileType3::kDir);
-  entries_[key] = fh;
-  dir_index_[args->dir.fileid()][args->name] = fh;
+  res.obj_attributes = NewAttr(fileid, FileType3::kDir);
+  (void)store_.InsertAttr(fileid, *res.obj_attributes);
+  (void)store_.InsertEntry(args->dir.fileid(), args->name, fh);
   TouchDir(args->dir.fileid(), +1, +1);
   res.object = fh;
-  res.obj_attributes = attrs_[fileid];
   res.Encode(reply);
 }
 
@@ -303,8 +298,7 @@ void BaselineServer::DoSymlink(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& 
     res.Encode(reply);
     return;
   }
-  const EntryKey key{args->dir.fileid(), args->name};
-  if (entries_.contains(key)) {
+  if (store_.FindEntry(args->dir.fileid(), args->name).ok()) {
     res.status = Nfsstat3::kErrExist;
     res.Encode(reply);
     return;
@@ -313,10 +307,9 @@ void BaselineServer::DoSymlink(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& 
   const FileHandle fh = MintHandle(fileid, FileType3::kLnk);
   Fattr3 attr = NewAttr(fileid, FileType3::kLnk);
   attr.size = args->target.size();
-  attrs_[fileid] = attr;
-  symlinks_[fileid] = args->target;
-  entries_[key] = fh;
-  dir_index_[args->dir.fileid()][args->name] = fh;
+  (void)store_.InsertAttr(fileid, attr);
+  store_.FindAttr(fileid)->symlink_target = args->target;
+  (void)store_.InsertEntry(args->dir.fileid(), args->name, fh);
   TouchDir(args->dir.fileid(), +1, 0);
   res.object = fh;
   res.obj_attributes = attr;
@@ -333,43 +326,35 @@ void BaselineServer::DoRemove(XdrDecoder& dec, bool rmdir, XdrEncoder& reply,
     res.Encode(reply);
     return;
   }
-  const EntryKey key{args->dir.fileid(), args->name};
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  const Result<FileHandle> found = store_.FindEntry(args->dir.fileid(), args->name);
+  if (!found.ok()) {
     res.status = Nfsstat3::kErrNoent;
     res.Encode(reply);
     return;
   }
-  const FileHandle child = it->second;
+  const FileHandle child = *found;
   if (rmdir != child.IsDir()) {
     res.status = rmdir ? Nfsstat3::kErrNotdir : Nfsstat3::kErrIsdir;
     res.Encode(reply);
     return;
   }
   if (rmdir) {
-    const auto dit = dir_index_.find(child.fileid());
-    if (dit != dir_index_.end() && !dit->second.empty()) {
+    if (store_.CountDir(child.fileid()) > 0) {
       res.status = Nfsstat3::kErrNotempty;
       res.Encode(reply);
       return;
     }
-    dir_index_.erase(child.fileid());
-    attrs_.erase(child.fileid());
+    (void)store_.EraseAttr(child.fileid());
     TouchDir(args->dir.fileid(), -1, -1);
   } else {
     Fattr3* attr = FindAttr(child.fileid());
     if (attr != nullptr && --attr->nlink == 0) {
-      attrs_.erase(child.fileid());
-      symlinks_.erase(child.fileid());
+      (void)store_.EraseAttr(child.fileid());
       (void)data_.Remove(child.fileid());
     }
     TouchDir(args->dir.fileid(), -1, 0);
   }
-  entries_.erase(it);
-  auto dir_it = dir_index_.find(args->dir.fileid());
-  if (dir_it != dir_index_.end()) {
-    dir_it->second.erase(args->name);
-  }
+  (void)store_.EraseEntry(args->dir.fileid(), args->name);
   if (Fattr3* dir_attr = FindAttr(args->dir.fileid()); dir_attr != nullptr) {
     res.dir_wcc.after = *dir_attr;
   }
@@ -385,36 +370,30 @@ void BaselineServer::DoRename(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& c
     res.Encode(reply);
     return;
   }
-  const EntryKey from_key{args->from_dir.fileid(), args->from_name};
-  const auto it = entries_.find(from_key);
-  if (it == entries_.end()) {
+  const Result<FileHandle> found = store_.FindEntry(args->from_dir.fileid(), args->from_name);
+  if (!found.ok()) {
     res.status = Nfsstat3::kErrNoent;
     res.Encode(reply);
     return;
   }
-  const FileHandle child = it->second;
-  const EntryKey to_key{args->to_dir.fileid(), args->to_name};
-  if (const auto target = entries_.find(to_key); target != entries_.end()) {
-    if (target->second.IsDir()) {
-      const auto dit = dir_index_.find(target->second.fileid());
-      if (dit != dir_index_.end() && !dit->second.empty()) {
+  const FileHandle child = *found;
+  const Result<FileHandle> target = store_.FindEntry(args->to_dir.fileid(), args->to_name);
+  if (target.ok()) {
+    if (target->IsDir()) {
+      if (store_.CountDir(target->fileid()) > 0) {
         res.status = Nfsstat3::kErrNotempty;
         res.Encode(reply);
         return;
       }
-      attrs_.erase(target->second.fileid());
-    } else if (Fattr3* attr = FindAttr(target->second.fileid());
-               attr != nullptr && --attr->nlink == 0) {
-      attrs_.erase(target->second.fileid());
-      (void)data_.Remove(target->second.fileid());
+      (void)store_.EraseAttr(target->fileid());
+    } else if (Fattr3* attr = FindAttr(target->fileid()); attr != nullptr && --attr->nlink == 0) {
+      (void)store_.EraseAttr(target->fileid());
+      (void)data_.Remove(target->fileid());
     }
-    entries_.erase(target);
-    dir_index_[args->to_dir.fileid()].erase(args->to_name);
+    (void)store_.EraseEntry(args->to_dir.fileid(), args->to_name);
   }
-  entries_.erase(from_key);
-  dir_index_[args->from_dir.fileid()].erase(args->from_name);
-  entries_[to_key] = child;
-  dir_index_[args->to_dir.fileid()][args->to_name] = child;
+  (void)store_.EraseEntry(args->from_dir.fileid(), args->from_name);
+  (void)store_.InsertEntry(args->to_dir.fileid(), args->to_name, child);
   const bool cross = args->from_dir.fileid() != args->to_dir.fileid();
   TouchDir(args->from_dir.fileid(), -1, child.IsDir() && cross ? -1 : 0);
   TouchDir(args->to_dir.fileid(), +1, child.IsDir() && cross ? +1 : 0);
@@ -430,14 +409,11 @@ void BaselineServer::DoLink(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cos
     res.Encode(reply);
     return;
   }
-  const EntryKey key{args->dir.fileid(), args->name};
-  if (entries_.contains(key)) {
+  if (!store_.InsertEntry(args->dir.fileid(), args->name, args->file).ok()) {
     res.status = Nfsstat3::kErrExist;
     res.Encode(reply);
     return;
   }
-  entries_[key] = args->file;
-  dir_index_[args->dir.fileid()][args->name] = args->file;
   Fattr3* attr = FindAttr(args->file.fileid());
   ++attr->nlink;
   TouchDir(args->dir.fileid(), +1, 0);
@@ -459,14 +435,14 @@ void BaselineServer::DoReaddir(XdrDecoder& dec, bool plus, XdrEncoder& reply,
   if (Fattr3* attr = FindAttr(args->dir.fileid()); attr != nullptr) {
     res.dir_attributes = *attr;
   }
-  const auto dit = dir_index_.find(args->dir.fileid());
+  const DirStore::Entries* entries = store_.Dir(args->dir.fileid());
   res.eof = true;
   res.cookieverf = 1;
-  if (dit != dir_index_.end()) {
+  if (entries != nullptr) {
     const uint32_t budget = std::max<uint32_t>(plus ? args->maxcount : args->count, 512);
     uint32_t used = 0;
     uint64_t index = 0;
-    for (const auto& [name, fh] : dit->second) {
+    for (const auto& [name, fh] : *entries) {
       ++index;
       if (index <= args->cookie) {
         continue;
@@ -582,7 +558,7 @@ RpcAcceptStat BaselineServer::HandleCall(const RpcMessageView& call, XdrEncoder&
       res.fbytes = res.abytes =
           params_.capacity_bytes - data_.used_blocks() * kStoreBlockSize;
       res.tfiles = 1u << 24;
-      res.ffiles = res.afiles = res.tfiles - attrs_.size();
+      res.ffiles = res.afiles = res.tfiles - store_.attr_count();
       res.Encode(reply);
       return RpcAcceptStat::kSuccess;
     }

@@ -10,11 +10,8 @@
 #ifndef SLICE_BASELINE_BASELINE_SERVER_H_
 #define SLICE_BASELINE_BASELINE_SERVER_H_
 
-#include <map>
-#include <string>
-#include <unordered_map>
-
 #include "src/common/rng.h"
+#include "src/dir/dir_store.h"
 #include "src/nfs/nfs_xdr.h"
 #include "src/rpc/rpc_server.h"
 #include "src/sim/disk.h"
@@ -47,7 +44,7 @@ class BaselineServer : public RpcServerNode {
   BaselineServer(Network& net, EventQueue& queue, NetAddr addr, BaselineServerParams params);
 
   FileHandle RootHandle() const;
-  size_t file_count() const { return attrs_.size(); }
+  size_t file_count() const { return store_.attr_count(); }
   const BlockCache& cache() const { return cache_; }
 
  protected:
@@ -60,17 +57,6 @@ class BaselineServer : public RpcServerNode {
   }
 
  private:
-  struct EntryKey {
-    uint64_t dir;
-    std::string name;
-    bool operator==(const EntryKey&) const = default;
-  };
-  struct EntryKeyHash {
-    size_t operator()(const EntryKey& k) const {
-      return static_cast<size_t>(Fnv1a64(k.name, k.dir ^ kFnvOffsetBasis));
-    }
-  };
-
   NfsTime Now() const;
   FileHandle MintHandle(uint64_t fileid, FileType3 type) const;
   Fattr3* FindAttr(uint64_t fileid);
@@ -98,10 +84,7 @@ class BaselineServer : public RpcServerNode {
   ObjectStore data_;
   BlockCache cache_;
   DiskArray disks_;
-  std::unordered_map<EntryKey, FileHandle, EntryKeyHash> entries_;
-  std::unordered_map<uint64_t, Fattr3> attrs_;
-  std::unordered_map<uint64_t, std::string> symlinks_;
-  std::unordered_map<uint64_t, std::map<std::string, FileHandle>> dir_index_;
+  DirStore store_;  // the whole name space: entries, attributes, symlink targets
   uint64_t next_fileid_ = kRootBaselineFileid + 1;
   uint64_t write_verifier_;
   Rng rng_{0xba5e};

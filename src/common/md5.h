@@ -52,7 +52,7 @@ class Md5 {
 };
 
 // First 8 bytes of the digest as a little-endian integer: the fingerprint
-// form used by routing tables and hash chains.
+// form used by routing tables and name placement.
 inline uint64_t Md5Fingerprint64(const Md5Digest& d) {
   uint64_t v = 0;
   for (int i = 7; i >= 0; --i) {

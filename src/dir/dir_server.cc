@@ -286,11 +286,12 @@ void DirServer::HandoffSite(uint32_t site, DirServer& target) {
   // outage — including deletions — exist only in the adopter's store/log,
   // so anything the rejoined server replayed from its own log is stale.
   std::vector<NameCell> stale_entries;
-  target.store_.ForEachEntry([&](const NameCell& cell) {
-    if (target.EntrySiteById(cell.parent_id, cell.name) == site) {
-      stale_entries.push_back(cell);
-    }
-  });
+  target.store_.ForEachEntry(
+      [&](uint64_t parent_id, const std::string& name, const FileHandle& child) {
+        if (target.EntrySiteById(parent_id, name) == site) {
+          stale_entries.push_back(NameCell{parent_id, name, child});
+        }
+      });
   for (const NameCell& cell : stale_entries) {
     target.ApplyEraseEntry(cell.parent_id, cell.name, /*log=*/true);
   }
@@ -306,9 +307,9 @@ void DirServer::HandoffSite(uint32_t site, DirServer& target) {
   }
 
   std::vector<NameCell> entries;
-  store_.ForEachEntry([&](const NameCell& cell) {
-    if (EntrySiteById(cell.parent_id, cell.name) == site) {
-      entries.push_back(cell);
+  store_.ForEachEntry([&](uint64_t parent_id, const std::string& name, const FileHandle& child) {
+    if (EntrySiteById(parent_id, name) == site) {
+      entries.push_back(NameCell{parent_id, name, child});
     }
   });
   std::vector<std::pair<uint64_t, AttrCell>> attrs;
@@ -334,11 +335,11 @@ void DirServer::MigrateSlot(uint32_t slot, uint32_t num_slots, DirServer& target
     return;
   }
   std::vector<NameCell> moved;
-  store_.ForEachEntry([&](const NameCell& cell) {
-    const FileHandle parent = FileHandle::Make(params_.volume, cell.parent_id, 1,
-                                               FileType3::kDir, 1, params_.volume_secret);
-    if (NameFingerprint(parent, cell.name) % num_slots == slot) {
-      moved.push_back(cell);
+  store_.ForEachEntry([&](uint64_t parent_id, const std::string& name, const FileHandle& child) {
+    const FileHandle parent = FileHandle::Make(params_.volume, parent_id, 1, FileType3::kDir, 1,
+                                               params_.volume_secret);
+    if (NameFingerprint(parent, name) % num_slots == slot) {
+      moved.push_back(NameCell{parent_id, name, child});
     }
   });
   for (const NameCell& cell : moved) {
@@ -722,7 +723,6 @@ void DirServer::HandleRemove(const DirOpArgs& args, bool rmdir, XdrEncoder& repl
       owner = &Peer(dir_site);
     }
     owner->ApplyEraseAttr(child->fileid(), /*log=*/true);
-    owner->store_.DropDirIndex(child->fileid());
     TouchDirAttr(args.dir.fileid(), -1, -1, cost);
   } else {
     AdjustNlink(child->fileid(), -1, cost);
@@ -818,42 +818,50 @@ void DirServer::HandleReaddir(const ReaddirArgs& args, XdrEncoder& reply, Servic
   }
 
   // Gather entries. Under name hashing a directory's entries are scattered
-  // across every site ("readdir operations span multiple sites", §3.2).
-  std::vector<NameCell> all = store_.ListDir(dir_id);
+  // across every site ("readdir operations span multiple sites", §3.2); the
+  // sites hold disjoint names, so their union sorted by name ranks cookies
+  // exactly as one store would.
+  using Entry = DirStore::Entries::value_type;
+  std::vector<const Entry*> all;
+  const auto gather = [&all](const DirStore& store, uint64_t id) {
+    if (const DirStore::Entries* entries = store.Dir(id); entries != nullptr) {
+      for (const Entry& entry : *entries) {
+        all.push_back(&entry);
+      }
+    }
+  };
+  gather(store_, dir_id);
   if (params_.policy == NamePolicy::kNameHashing && !peers_.empty()) {
     for (DirServer* peer : peers_) {
       if (peer == this) {
         continue;
       }
       ChargePeer(cost);
-      std::vector<NameCell> part = peer->store_.ListDir(dir_id);
-      all.insert(all.end(), part.begin(), part.end());
+      gather(peer->store_, dir_id);
     }
     std::sort(all.begin(), all.end(),
-              [](const NameCell& a, const NameCell& b) { return a.name < b.name; });
+              [](const Entry* a, const Entry* b) { return a->first < b->first; });
   }
 
   const uint32_t budget = std::max<uint32_t>(args.plus ? args.maxcount : args.count, 512);
   uint32_t used = 0;
-  uint64_t cookie = 0;
   res.eof = true;
   for (size_t i = args.cookie; i < all.size(); ++i) {
-    const NameCell& cell = all[i];
-    const uint32_t entry_size = static_cast<uint32_t>(24 + cell.name.size()) +
+    const auto& [name, child] = *all[i];
+    const uint32_t entry_size = static_cast<uint32_t>(24 + name.size()) +
                                 (args.plus ? kFattr3WireSize + FileHandle::kSize + 12 : 0);
     if (used + entry_size > budget) {
       res.eof = false;
       break;
     }
     used += entry_size;
-    cookie = i + 1;
     DirEntry entry;
-    entry.fileid = cell.child.fileid();
-    entry.name = cell.name;
-    entry.cookie = cookie;
+    entry.fileid = child.fileid();
+    entry.name = name;
+    entry.cookie = i + 1;
     if (args.plus) {
-      entry.handle = cell.child;
-      entry.attr = GetAttrAnywhere(cell.child.fileid(), cost);
+      entry.handle = child;
+      entry.attr = GetAttrAnywhere(child.fileid(), cost);
     }
     res.entries.push_back(std::move(entry));
   }

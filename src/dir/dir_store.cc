@@ -9,69 +9,50 @@ uint64_t NameFingerprint(const FileHandle& parent, std::string_view name) {
   return Md5Fingerprint64(ctx.Finish());
 }
 
-uint64_t NameFingerprintById(uint64_t parent_fileid, std::string_view name) {
-  uint8_t key[8];
-  PutU64(key, parent_fileid);
-  Md5 ctx;
-  ctx.Update(ByteSpan(key, 8));
-  ctx.Update(name);
-  return Md5Fingerprint64(ctx.Finish());
-}
-
 Status DirStore::InsertEntry(uint64_t parent_id, const std::string& name,
                              const FileHandle& child) {
-  auto [it, inserted] = chains_.emplace(ChainKey{parent_id, name}, NameCell{parent_id, name, child});
-  if (!inserted) {
+  if (!dirs_[parent_id].emplace(name, child).second) {
     return Status(StatusCode::kAlreadyExists, "dir: entry exists");
   }
-  dir_index_[parent_id][name] = true;
+  ++entry_count_;
   return OkStatus();
 }
 
-Result<FileHandle> DirStore::FindEntry(uint64_t parent_id, const std::string& name) const {
-  const auto it = chains_.find(ChainKey{parent_id, name});
-  if (it == chains_.end()) {
-    return Status(StatusCode::kNotFound, "dir: no entry");
-  }
-  return it->second.child;
-}
-
-Status DirStore::EraseEntry(uint64_t parent_id, const std::string& name) {
-  if (chains_.erase(ChainKey{parent_id, name}) == 0) {
-    return Status(StatusCode::kNotFound, "dir: no entry");
-  }
-  auto dit = dir_index_.find(parent_id);
-  if (dit != dir_index_.end()) {
-    dit->second.erase(name);
-    if (dit->second.empty()) {
-      dir_index_.erase(dit);
+Result<FileHandle> DirStore::FindEntry(uint64_t parent_id, std::string_view name) const {
+  if (const Entries* entries = Dir(parent_id); entries != nullptr) {
+    if (const auto it = entries->find(name); it != entries->end()) {
+      return it->second;
     }
   }
+  return Status(StatusCode::kNotFound, "dir: no entry");
+}
+
+Status DirStore::EraseEntry(uint64_t parent_id, std::string_view name) {
+  const auto dit = dirs_.find(parent_id);
+  if (dit == dirs_.end()) {
+    return Status(StatusCode::kNotFound, "dir: no entry");
+  }
+  const auto it = dit->second.find(name);
+  if (it == dit->second.end()) {
+    return Status(StatusCode::kNotFound, "dir: no entry");
+  }
+  dit->second.erase(it);
+  --entry_count_;
+  if (dit->second.empty()) {
+    dirs_.erase(dit);
+  }
   return OkStatus();
 }
 
-std::vector<NameCell> DirStore::ListDir(uint64_t dir_id) const {
-  std::vector<NameCell> out;
-  const auto dit = dir_index_.find(dir_id);
-  if (dit == dir_index_.end()) {
-    return out;
-  }
-  out.reserve(dit->second.size());
-  for (const auto& [name, unused] : dit->second) {
-    (void)unused;
-    const auto cit = chains_.find(ChainKey{dir_id, name});
-    SLICE_CHECK(cit != chains_.end());
-    out.push_back(cit->second);
-  }
-  return out;
+const DirStore::Entries* DirStore::Dir(uint64_t dir_id) const {
+  const auto dit = dirs_.find(dir_id);
+  return dit == dirs_.end() ? nullptr : &dit->second;
 }
 
 size_t DirStore::CountDir(uint64_t dir_id) const {
-  const auto dit = dir_index_.find(dir_id);
-  return dit == dir_index_.end() ? 0 : dit->second.size();
+  const Entries* entries = Dir(dir_id);
+  return entries == nullptr ? 0 : entries->size();
 }
-
-void DirStore::DropDirIndex(uint64_t dir_id) { dir_index_.erase(dir_id); }
 
 Status DirStore::InsertAttr(uint64_t fileid, const Fattr3& attr) {
   auto [it, inserted] = attrs_.emplace(fileid, AttrCell{attr, {}});
@@ -99,9 +80,9 @@ Status DirStore::EraseAttr(uint64_t fileid) {
 }
 
 void DirStore::Clear() {
-  chains_.clear();
+  dirs_.clear();
   attrs_.clear();
-  dir_index_.clear();
+  entry_count_ = 0;
 }
 
 }  // namespace slice

@@ -39,9 +39,14 @@ void WriteAheadLog::Flush() {
   log_offset_ += batch.size();
   ++flushes_;
   client_.Write(object_, offset, batch, StableHow::kFileSync,
-                [](Status st, const WriteRes& res) {
-                  if (!st.ok() || res.status != Nfsstat3::kOk) {
+                [this](Status st, const WriteRes& res) {
+                  if (!st.ok()) {
+                    ++flush_failures_;
                     SLICE_WLOG << "wal: flush failed: " << st.ToString();
+                  } else if (res.status != Nfsstat3::kOk) {
+                    ++flush_failures_;
+                    SLICE_WLOG << "wal: flush failed: nfsstat3 "
+                               << static_cast<uint32_t>(res.status);
                   }
                 });
 }

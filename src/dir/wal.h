@@ -44,6 +44,9 @@ class WriteAheadLog {
   uint64_t bytes_logged() const { return log_offset_ + buffer_.size(); }
   uint64_t records_logged() const { return records_; }
   uint64_t flushes() const { return flushes_; }
+  // Flushes the backing node rejected or never answered; their records are
+  // not durable.
+  uint64_t flush_failures() const { return flush_failures_; }
 
   // Log appends issued while a traced request is in scope join its trace.
   void set_tracer(obs::Tracer* tracer) { client_.set_tracer(tracer); }
@@ -61,6 +64,7 @@ class WriteAheadLog {
   uint64_t log_offset_ = 0;  // stable bytes already at the backing object
   uint64_t records_ = 0;
   uint64_t flushes_ = 0;
+  uint64_t flush_failures_ = 0;
   bool timer_armed_ = false;
 };
 

@@ -79,6 +79,20 @@ TEST_F(BaselineTest, SymlinkReadlink) {
   EXPECT_EQ(client_->Readlink(*made.object).value().target, "/somewhere");
 }
 
+TEST_F(BaselineTest, ReadlinkOfSymlinkReplacedByRenameIsStale) {
+  CreateRes link = client_->Symlink(root_, "lnk", "/old-target").value();
+  ASSERT_EQ(link.status, Nfsstat3::kOk);
+  ASSERT_EQ(client_->Create(root_, "file").value().status, Nfsstat3::kOk);
+  // Renaming over the link drops its last name: the link is gone.
+  ASSERT_EQ(client_->Rename(root_, "file", root_, "lnk").value().status, Nfsstat3::kOk);
+  ReadlinkRes res = client_->Readlink(*link.object).value();
+  EXPECT_EQ(res.status, Nfsstat3::kErrStale);
+  EXPECT_TRUE(res.target.empty());
+  // READLINK of a live object that is not a symlink stays INVAL.
+  const FileHandle file = client_->Lookup(root_, "lnk").value().object;
+  EXPECT_EQ(client_->Readlink(file).value().status, Nfsstat3::kErrInval);
+}
+
 TEST_F(BaselineTest, ReaddirListsEverything) {
   for (int i = 0; i < 25; ++i) {
     ASSERT_EQ(client_->Create(root_, "e" + std::to_string(i)).value().status, Nfsstat3::kOk);

@@ -34,12 +34,25 @@ TEST(DirStoreTest, ListDirIsNameOrdered) {
     ASSERT_TRUE(
         store.InsertEntry(1, name, FileHandle::Make(1, 2, 1, FileType3::kReg, 1, kSecret)).ok());
   }
-  std::vector<NameCell> list = store.ListDir(1);
-  ASSERT_EQ(list.size(), 3u);
-  EXPECT_EQ(list[0].name, "alpha");
-  EXPECT_EQ(list[2].name, "zeta");
+  const DirStore::Entries* dir = store.Dir(1);
+  ASSERT_NE(dir, nullptr);
+  std::vector<std::string> names;
+  for (const auto& [name, child] : *dir) {
+    names.push_back(name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"alpha", "mid", "zeta"}));
   EXPECT_EQ(store.CountDir(1), 3u);
   EXPECT_EQ(store.CountDir(99), 0u);
+  EXPECT_EQ(store.Dir(99), nullptr);
+  EXPECT_EQ(store.entry_count(), 3u);
+
+  // An emptied directory drops its index.
+  for (const char* name : {"zeta", "alpha", "mid"}) {
+    ASSERT_TRUE(store.EraseEntry(1, name).ok());
+  }
+  EXPECT_EQ(store.Dir(1), nullptr);
+  EXPECT_EQ(store.entry_count(), 0u);
+  EXPECT_EQ(store.EraseEntry(1, "mid").code(), StatusCode::kNotFound);
 }
 
 TEST(DirStoreTest, AttrCells) {
@@ -400,6 +413,40 @@ TEST_F(NameHashingTest, ReaddirGathersAllSites) {
   // Merged listing is name-ordered.
   for (size_t i = 1; i < all.size(); ++i) {
     EXPECT_LT(all[i - 1].name, all[i].name);
+  }
+}
+
+TEST_F(NameHashingTest, ReaddirWalksEveryPageAcrossSites) {
+  constexpr int kNames = 160;
+  std::vector<size_t> per_site(kSites, 0);
+  for (int i = 0; i < kNames; ++i) {
+    const std::string name = "p" + std::to_string(i);
+    ASSERT_EQ(AtNameHash(root_, name).Create(root_, name).value().status, Nfsstat3::kOk);
+    ++per_site[NameHashSite(NameFingerprint(root_, name), kSites)];
+  }
+  for (size_t count : per_site) {
+    ASSERT_GT(count, 0u);
+  }
+  // Walk the merged listing one small page at a time.
+  std::vector<std::string> names;
+  uint64_t cookie = 0;
+  size_t pages = 0;
+  for (bool eof = false; !eof; ++pages) {
+    ASSERT_LT(pages, static_cast<size_t>(kNames));
+    ReaddirRes page = AtSite(0).Readdir(root_, cookie, 600).value();
+    ASSERT_EQ(page.status, Nfsstat3::kOk);
+    ASSERT_FALSE(page.entries.empty());
+    for (const DirEntry& entry : page.entries) {
+      EXPECT_EQ(entry.cookie, cookie + 1);
+      cookie = entry.cookie;
+      names.push_back(entry.name);
+    }
+    eof = page.eof;
+  }
+  EXPECT_GT(pages, 1u);
+  ASSERT_EQ(names.size(), static_cast<size_t>(kNames));
+  for (size_t i = 1; i < names.size(); ++i) {
+    EXPECT_LT(names[i - 1], names[i]);  // ascending, so each name appears once
   }
 }
 

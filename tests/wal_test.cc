@@ -123,5 +123,29 @@ TEST_F(WalTest, BytesLoggedAccounting) {
   EXPECT_EQ(wal_->bytes_logged(), 8u + 6u);
 }
 
+TEST_F(WalTest, FlushToFailedNodeIsCounted) {
+  storage_->Fail();
+  wal_->Append(Record("unanswered"));
+  wal_->Flush();
+  queue_.RunUntilIdle();  // the write retransmits until the client gives up
+  EXPECT_EQ(wal_->flushes(), 1u);
+  EXPECT_EQ(wal_->flush_failures(), 1u);
+}
+
+TEST_F(WalTest, FlushRejectedByNodeIsCounted) {
+  // A node with room for one block answers a two-block FILE_SYNC write with
+  // NFS3ERR_NOSPC: the RPC succeeds, the flush does not.
+  StorageNodeParams params;
+  params.volume_secret = kSecret;
+  params.capacity_bytes = kStoreBlockSize;
+  StorageNode tiny(net_, queue_, kStorageAddr + 1, params);
+  WriteAheadLog wal(*host_, queue_, tiny.endpoint(), object_);
+  wal.Append(Bytes(2 * kStoreBlockSize, 0x5a));
+  wal.Flush();
+  queue_.RunUntilIdle();
+  EXPECT_EQ(wal.flush_failures(), 1u);
+  EXPECT_EQ(wal_->flush_failures(), 0u);
+}
+
 }  // namespace
 }  // namespace slice
