@@ -41,7 +41,8 @@ constexpr uint64_t kRootBaselineFileid = 1;
 
 class BaselineServer : public RpcServerNode {
  public:
-  BaselineServer(Network& net, EventQueue& queue, NetAddr addr, BaselineServerParams params);
+  BaselineServer(Network& net, EventQueue& queue, NetAddr addr, BaselineServerParams params,
+                 const obs::Sinks& sinks = {});
 
   FileHandle RootHandle() const;
   size_t file_count() const { return store_.attr_count(); }

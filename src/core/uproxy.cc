@@ -47,13 +47,17 @@ obs::TenantOpClass ClassOfProc(NfsProc proc) {
 
 }  // namespace
 
-Uproxy::Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig config)
+Uproxy::Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig config,
+               const obs::Sinks& sinks)
     : net_(net),
       queue_(queue),
       client_host_(client_host),
       config_(std::move(config)),
       attr_cache_(config_.attr_cache_entries),
-      lookup_cache_(config_.lookup_cache_entries) {
+      lookup_cache_(config_.lookup_cache_entries),
+      sinks_(sinks),
+      prof_ledger_(sinks.profiler != nullptr ? sinks.profiler->LedgerFor(client_host.addr())
+                                             : nullptr) {
   SLICE_CHECK(!config_.dir_servers.empty());
   SLICE_CHECK(!config_.storage_nodes.empty());
   dir_table_ = RoutingTable(config_.logical_name_slots, config_.dir_servers);
@@ -68,8 +72,11 @@ Uproxy::Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig 
                                config_.small_file_servers.size()));
     }
   }
-  own_rpc_ = std::make_unique<RpcClient>(client_host_, queue_, config_.own_rpc_params);
+  own_rpc_ = std::make_unique<RpcClient>(client_host_, queue_, config_.own_rpc_params, sinks_);
   net_.InstallTap(client_host_.addr(), this);
+  if (sinks_.metrics != nullptr && sinks_.metrics->enabled()) {
+    RegisterProxyMetrics(*sinks_.metrics);
+  }
 }
 
 Uproxy::~Uproxy() {
@@ -77,11 +84,8 @@ Uproxy::~Uproxy() {
   net_.RemoveTap(client_host_.addr());
 }
 
-void Uproxy::set_metrics(obs::Metrics* metrics) {
-  if (metrics == nullptr || !metrics->enabled()) {
-    return;
-  }
-  obs::MetricsRegistry& reg = metrics->Registry(client_host_.addr());
+void Uproxy::RegisterProxyMetrics(obs::Metrics& metrics) {
+  obs::MetricsRegistry& reg = metrics.Registry(client_host_.addr());
   // Hot-path instruments.
   m_cpu_ = reg.GetHistogram("uproxy_cpu_ns");
   m_attr_hits_ = reg.GetCounter("uproxy_attr_hits");
@@ -135,8 +139,8 @@ void Uproxy::set_metrics(obs::Metrics* metrics) {
       [this]() { return static_cast<int64_t>(table_epoch_); });
   // Tenant plane: cache the hub's preallocated instrument array so the hot
   // path is one bounds check and an array index (no map, no allocation).
-  tenant_data_ = metrics->TenantData();
-  tenant_count_ = metrics->num_tenants();
+  tenant_data_ = metrics.TenantData();
+  tenant_count_ = metrics.num_tenants();
 }
 
 void Uproxy::AccountTenant(uint32_t tenant, NfsProc proc, uint32_t nbytes, SimTime latency,
@@ -170,47 +174,47 @@ SimTime Uproxy::ChargeCpu(const obs::TraceContext& ctx) {
   obs::ChargeSim(prof_ledger_, obs::LedgerCat::kQueue, start - now);
   obs::ChargeSim(prof_ledger_, obs::LedgerCat::kCpu, done - start);
   obs::Observe(m_cpu_, done - now);
-  if (tracer_ != nullptr && ctx.valid()) {
+  if (sinks_.tracer != nullptr && ctx.valid()) {
     if (start > now) {
-      tracer_->RecordSpan(client_host_.addr(), ctx, obs::SpanCat::kQueue, "uproxy_cpu_wait",
-                          now, start);
+      sinks_.tracer->RecordSpan(client_host_.addr(), ctx, obs::SpanCat::kQueue, "uproxy_cpu_wait",
+                                now, start);
     }
     if (done > start) {
-      tracer_->RecordSpan(client_host_.addr(), ctx, obs::SpanCat::kCpu, "uproxy_cpu", start,
-                          done);
+      sinks_.tracer->RecordSpan(client_host_.addr(), ctx, obs::SpanCat::kCpu, "uproxy_cpu", start,
+                                done);
     }
   }
   return done;
 }
 
 obs::TraceContext Uproxy::BeginTrace(Pending& pending, const char* route) {
-  if (tracer_ == nullptr || !tracer_->enabled()) {
+  if (sinks_.tracer == nullptr || !sinks_.tracer->enabled()) {
     return obs::TraceContext{};
   }
   if (pending.trace_id == 0) {
-    pending.trace_id = tracer_->NewTraceId();
-    pending.root_span_id = tracer_->NewSpanId();
+    pending.trace_id = sinks_.tracer->NewTraceId();
+    pending.root_span_id = sinks_.tracer->NewSpanId();
     pending.trace_start = queue_.now();
-    tracer_->RecordInstant(client_host_.addr(),
-                           obs::TraceContext{pending.trace_id, pending.root_span_id}, route,
-                           queue_.now());
+    sinks_.tracer->RecordInstant(client_host_.addr(),
+                                 obs::TraceContext{pending.trace_id, pending.root_span_id}, route,
+                                 queue_.now());
   } else {
-    tracer_->RecordInstant(client_host_.addr(),
-                           obs::TraceContext{pending.trace_id, pending.root_span_id},
-                           "client_retransmit", queue_.now());
+    sinks_.tracer->RecordInstant(client_host_.addr(),
+                                 obs::TraceContext{pending.trace_id, pending.root_span_id},
+                                 "client_retransmit", queue_.now());
   }
   return obs::TraceContext{pending.trace_id, pending.root_span_id};
 }
 
 void Uproxy::FinishTrace(const Pending& pending, SimTime end) {
-  if (tracer_ == nullptr || pending.trace_id == 0) {
+  if (sinks_.tracer == nullptr || pending.trace_id == 0) {
     return;
   }
   char name[obs::kSpanNameCap];
   std::snprintf(name, sizeof(name), "op:%s", NfsProcName(pending.proc));
-  tracer_->RecordSpan(client_host_.addr(),
-                      obs::TraceContext{pending.trace_id, pending.root_span_id},
-                      obs::SpanCat::kOther, name, pending.trace_start, end, /*root=*/true);
+  sinks_.tracer->RecordSpan(client_host_.addr(),
+                            obs::TraceContext{pending.trace_id, pending.root_span_id},
+                            obs::SpanCat::kOther, name, pending.trace_start, end, /*root=*/true);
 }
 
 void Uproxy::DropSoftState() {
@@ -221,12 +225,10 @@ void Uproxy::DropSoftState() {
   // "It is free to discard its state and/or pending packets without
   // compromising correctness" (§2.1): in-flight µproxy-originated calls die
   // too; coordinators finish any orphaned multi-site operations.
-  own_rpc_ = std::make_unique<RpcClient>(client_host_, queue_, config_.own_rpc_params);
-  own_rpc_->set_tracer(tracer_);
-  own_rpc_->set_eventlog(eventlog_);
+  own_rpc_ = std::make_unique<RpcClient>(client_host_, queue_, config_.own_rpc_params, sinks_);
   table_fetch_inflight_ = false;
   counters_.Add("soft_state_drops");
-  obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kWarn,
+  obs::LogEvent(sinks_.eventlog, client_host_.addr(), queue_.now(), obs::EventSev::kWarn,
                 obs::EventCat::kCache, obs::EventCode::kSoftStateDrop);
 }
 
@@ -340,7 +342,7 @@ Uproxy::RouteDecision Uproxy::SelectRoute(const DecodedView& req, ByteSpan paylo
           return out;
         }
         counters_.Add("failover_redirects");
-        obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kWarn,
+        obs::LogEvent(sinks_.eventlog, client_host_.addr(), queue_.now(), obs::EventSev::kWarn,
                       obs::EventCat::kRoute, obs::EventCode::kRouteFailoverRedirect,
                       /*trace_id=*/0, nullptr, {{"node", node}});
       }
@@ -386,12 +388,12 @@ void Uproxy::HandleOutbound(Packet&& pkt) {
     net_.Inject(std::move(pkt));
     return;
   }
-  obs::Profiler::Scope prof(profiler_, obs::ProfScope::kUproxyOutbound);
+  obs::Profiler::Scope prof(sinks_.profiler, obs::ProfScope::kUproxyOutbound);
   // First sight decodes once; a retransmission that already carries the
   // cached view (e.g. re-forwarded by the RPC layer) skips the parse.
   DecodedView req;
   {
-    obs::Profiler::Scope prof_decode(profiler_, obs::ProfScope::kUproxyDecode);
+    obs::Profiler::Scope prof_decode(sinks_.profiler, obs::ProfScope::kUproxyDecode);
     if (!pkt.get_view(kDecodedViewTag, &req)) {
       if (!DecodeNfsRequestView(pkt.payload(), &req).ok()) {
         PassThroughOutbound(std::move(pkt));
@@ -404,7 +406,7 @@ void Uproxy::HandleOutbound(Packet&& pkt) {
 
   const uint64_t key = KeyOf(pkt.src_port(), req.xid);
   {
-    obs::Profiler::Scope prof_soft(profiler_, obs::ProfScope::kUproxySoftState);
+    obs::Profiler::Scope prof_soft(sinks_.profiler, obs::ProfScope::kUproxySoftState);
     if (const Pending* dup = pending_.Find(key); dup != nullptr && dup->absorbed) {
       counters_.Add("duplicate_absorbed");
       return;  // fan-out already in flight; our own RPC layer retransmits
@@ -468,7 +470,7 @@ void Uproxy::HandleOutbound(Packet&& pkt) {
 
   RouteDecision route;
   {
-    obs::Profiler::Scope prof_route(profiler_, obs::ProfScope::kUproxyRoute);
+    obs::Profiler::Scope prof_route(sinks_.profiler, obs::ProfScope::kUproxyRoute);
     route = SelectRoute(req, pkt.payload());
   }
   switch (route.cls) {
@@ -477,7 +479,7 @@ void Uproxy::HandleOutbound(Packet&& pkt) {
       return;
     case RouteClass::kUnavailable:
       counters_.Add("unavailable_rejected");
-      obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kError,
+      obs::LogEvent(sinks_.eventlog, client_host_.addr(), queue_.now(), obs::EventSev::kError,
                     obs::EventCat::kRoute, obs::EventCode::kRouteUnavailable, /*trace_id=*/0,
                     NfsProcName(req.proc), {{"xid", req.xid}});
       SynthesizeErrorReply(req.proc, req.xid, pkt.src(), route.error, req.tenant);
@@ -556,7 +558,7 @@ void Uproxy::ForwardRequest(Packet&& pkt, const DecodedView& req, Endpoint targe
                             const char* route) {
   Pending* p = nullptr;
   {
-    obs::Profiler::Scope prof_soft(profiler_, obs::ProfScope::kUproxySoftState);
+    obs::Profiler::Scope prof_soft(sinks_.profiler, obs::ProfScope::kUproxySoftState);
     if (pending_.size() >= kMaxPending) {
       pending_.Clear();  // soft state; clients retransmit
     }
@@ -587,15 +589,15 @@ void Uproxy::ForwardRequest(Packet&& pkt, const DecodedView& req, Endpoint targe
   }
   obs::TraceContext ctx;
   {
-    obs::Profiler::Scope prof_trace(profiler_, obs::ProfScope::kUproxyTrace);
+    obs::Profiler::Scope prof_trace(sinks_.profiler, obs::ProfScope::kUproxyTrace);
     ctx = BeginTrace(*p, route);
-    obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kDebug,
+    obs::LogEvent(sinks_.eventlog, client_host_.addr(), queue_.now(), obs::EventSev::kDebug,
                   obs::EventCat::kRoute, obs::EventCode::kRouteDecision, ctx.trace_id, route,
                   {{"dst", target.addr}, {"xid", req.xid}});
   }
 
   {
-    obs::Profiler::Scope prof_rewrite(profiler_, obs::ProfScope::kUproxyRewrite);
+    obs::Profiler::Scope prof_rewrite(sinks_.profiler, obs::ProfScope::kUproxyRewrite);
     pkt.RewriteDst(target);
     if (ctx.valid()) {
       pkt.AttachTrace(ctx.trace_id, ctx.span_id);
@@ -605,7 +607,7 @@ void Uproxy::ForwardRequest(Packet&& pkt, const DecodedView& req, Endpoint targe
   // CPU-done instant — no closure, no shared_ptr, no per-packet allocation.
   SimTime ready;
   {
-    obs::Profiler::Scope prof_metrics(profiler_, obs::ProfScope::kUproxyMetrics);
+    obs::Profiler::Scope prof_metrics(sinks_.profiler, obs::ProfScope::kUproxyMetrics);
     ready = ChargeCpu(ctx);
   }
   net_.InjectAt(std::move(pkt), ready, alive_);
@@ -624,10 +626,10 @@ void Uproxy::HandleInbound(Packet&& pkt) {
     net_.DeliverLocal(pkt.dst_addr(), std::move(pkt));
     return;
   }
-  obs::Profiler::Scope prof(profiler_, obs::ProfScope::kUproxyInbound);
+  obs::Profiler::Scope prof(sinks_.profiler, obs::ProfScope::kUproxyInbound);
   DecodedReply reply;
   {
-    obs::Profiler::Scope prof_decode(profiler_, obs::ProfScope::kUproxyDecode);
+    obs::Profiler::Scope prof_decode(sinks_.profiler, obs::ProfScope::kUproxyDecode);
     if (!DecodeNfsReply(pkt.payload(), &reply).ok()) {
       net_.DeliverLocal(pkt.dst_addr(), std::move(pkt));
       return;
@@ -636,7 +638,7 @@ void Uproxy::HandleInbound(Packet&& pkt) {
   const uint64_t key = KeyOf(pkt.dst_port(), reply.xid);
   const Pending* found;
   {
-    obs::Profiler::Scope prof_soft(profiler_, obs::ProfScope::kUproxySoftState);
+    obs::Profiler::Scope prof_soft(sinks_.profiler, obs::ProfScope::kUproxySoftState);
     found = pending_.Find(key);
   }
   if (found == nullptr) {
@@ -645,14 +647,14 @@ void Uproxy::HandleInbound(Packet&& pkt) {
   }
   Pending pending = *found;
   {
-    obs::Profiler::Scope prof_soft(profiler_, obs::ProfScope::kUproxySoftState);
+    obs::Profiler::Scope prof_soft(sinks_.profiler, obs::ProfScope::kUproxySoftState);
     pending_.Erase(key);
   }
 
   // Reply-side work (attr writebacks, remove/truncate fan-outs) chains into
   // the originating trace.
   const obs::TraceContext ctx{pending.trace_id, pending.root_span_id};
-  obs::ScopedContext scope(tracer_, ctx);
+  obs::ScopedContext scope(sinks_.tracer, ctx);
 
   if (reply.stat == RpcAcceptStat::kSuccess) {
     // Track I/O side effects on attributes, then patch a complete, current
@@ -686,35 +688,35 @@ void Uproxy::HandleInbound(Packet&& pkt) {
       }
     }
     {
-      obs::Profiler::Scope prof_patch(profiler_, obs::ProfScope::kUproxyAttrPatch);
+      obs::Profiler::Scope prof_patch(sinks_.profiler, obs::ProfScope::kUproxyAttrPatch);
       PatchReplyAttrs(pkt, pending, reply);
     }
     if (config_.proxy_cache && pending.proc == NfsProc::kLookup &&
         pending.name_fp != 0) {
       // Fill after patching so the cached attributes match what the client
       // sees in this reply.
-      obs::Profiler::Scope prof_soft(profiler_, obs::ProfScope::kUproxySoftState);
+      obs::Profiler::Scope prof_soft(sinks_.profiler, obs::ProfScope::kUproxySoftState);
       FillLookupCache(pkt, pending);
     }
   }
 
   {
-    obs::Profiler::Scope prof_rewrite(profiler_, obs::ProfScope::kUproxyRewrite);
+    obs::Profiler::Scope prof_rewrite(sinks_.profiler, obs::ProfScope::kUproxyRewrite);
     pkt.RewriteSrc(config_.virtual_server);
   }
   SimTime ready;
   {
-    obs::Profiler::Scope prof_metrics(profiler_, obs::ProfScope::kUproxyMetrics);
+    obs::Profiler::Scope prof_metrics(sinks_.profiler, obs::ProfScope::kUproxyMetrics);
     ready = ChargeCpu(ctx);
   }
   {
-    obs::Profiler::Scope prof_trace(profiler_, obs::ProfScope::kUproxyTrace);
+    obs::Profiler::Scope prof_trace(sinks_.profiler, obs::ProfScope::kUproxyTrace);
     FinishTrace(pending, ready);
   }
   if (pending.tenant != 0 && pending.tenant <= tenant_count_) {
     // Error = RPC-level rejection or a nonzero nfsstat3 (always the first
     // word of the result body). Read in place; nothing allocates.
-    obs::Profiler::Scope prof_metrics(profiler_, obs::ProfScope::kUproxyMetrics);
+    obs::Profiler::Scope prof_metrics(sinks_.profiler, obs::ProfScope::kUproxyMetrics);
     bool error = reply.stat != RpcAcceptStat::kSuccess;
     const ByteSpan payload = pkt.payload();
     if (!error && payload.size() >= reply.body_offset + 4) {
@@ -736,7 +738,7 @@ void Uproxy::HandleInboundBatch(std::span<Packet> pkts) {
   // much of the inbound wall time batching amortized. Processing stays
   // strictly in flight order — behavior and same-seed artifacts are
   // identical to per-packet delivery.
-  obs::Profiler::Scope prof(profiler_, obs::ProfScope::kUproxyInboundBatch);
+  obs::Profiler::Scope prof(sinks_.profiler, obs::ProfScope::kUproxyInboundBatch);
   for (Packet& pkt : pkts) {
     HandleInbound(std::move(pkt));
   }
@@ -875,7 +877,7 @@ bool Uproxy::TryServeLookup(const Packet& pkt, const DecodedView& req, uint64_t 
   }
   counters_.Add("cache_lookup_hits");
   obs::Inc(m_lookup_hits_);
-  obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kDebug,
+  obs::LogEvent(sinks_.eventlog, client_host_.addr(), queue_.now(), obs::EventSev::kDebug,
                 obs::EventCat::kCache, obs::EventCode::kCacheHit, /*trace_id=*/0,
                 "lookup",
                 {{"epoch", static_cast<int64_t>(table_epoch_)}, {"xid", req.xid}});
@@ -904,7 +906,7 @@ bool Uproxy::TryServeGetattr(const Packet& pkt, const DecodedView& req) {
     return false;  // partial (write-only) entries go to the directory server
   }
   counters_.Add("cache_getattr_hits");
-  obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kDebug,
+  obs::LogEvent(sinks_.eventlog, client_host_.addr(), queue_.now(), obs::EventSev::kDebug,
                 obs::EventCat::kCache, obs::EventCode::kCacheHit, /*trace_id=*/0,
                 "getattr",
                 {{"epoch", static_cast<int64_t>(table_epoch_)}, {"xid", req.xid}});
@@ -1155,7 +1157,7 @@ bool Uproxy::InstallTables(const MgmtTableSet& tables, bool force) {
         });
         counters_.Add("cache_flushes");
         counters_.Add("cache_flushed_entries", flushed);
-        obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(),
+        obs::LogEvent(sinks_.eventlog, client_host_.addr(), queue_.now(),
                       obs::EventSev::kInfo, obs::EventCat::kCache,
                       obs::EventCode::kCacheFlush, /*trace_id=*/0, nullptr,
                       {{"epoch", static_cast<int64_t>(tables.epoch)},
@@ -1179,7 +1181,7 @@ bool Uproxy::InstallTables(const MgmtTableSet& tables, bool force) {
     sfs_alive_ = tables.sfs_alive;
   }
   counters_.Add("table_installs");
-  obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kInfo,
+  obs::LogEvent(sinks_.eventlog, client_host_.addr(), queue_.now(), obs::EventSev::kInfo,
                 obs::EventCat::kMgmt, obs::EventCode::kTableInstall, /*trace_id=*/0, nullptr,
                 {{"epoch", static_cast<int64_t>(tables.epoch)}});
   return true;
@@ -1200,7 +1202,7 @@ void Uproxy::HandleControl(ByteSpan payload) {
     Result<uint64_t> epoch = dec.GetUint64();
     if (epoch.ok() && *epoch > table_epoch_) {
       counters_.Add("misdirect_notices");
-      obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kWarn,
+      obs::LogEvent(sinks_.eventlog, client_host_.addr(), queue_.now(), obs::EventSev::kWarn,
                     obs::EventCat::kRoute, obs::EventCode::kMisdirectNotice, /*trace_id=*/0,
                     nullptr,
                     {{"epoch", static_cast<int64_t>(*epoch)},
@@ -1216,7 +1218,7 @@ void Uproxy::FetchTables() {
   }
   table_fetch_inflight_ = true;
   counters_.Add("table_fetches");
-  obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kInfo,
+  obs::LogEvent(sinks_.eventlog, client_host_.addr(), queue_.now(), obs::EventSev::kInfo,
                 obs::EventCat::kMgmt, obs::EventCode::kTableFetch, /*trace_id=*/0, nullptr,
                 {{"epoch", static_cast<int64_t>(table_epoch_)}});
   own_rpc_->Call(config_.manager, kMgmtProgram, kMgmtVersion,
@@ -1319,7 +1321,7 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
   Pending* stored = pending_.Insert(KeyOf(client.port, req.xid)).first;
   *stored = pending;
   const obs::TraceContext ctx = BeginTrace(*stored, "route:mirror_write");
-  obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kDebug,
+  obs::LogEvent(sinks_.eventlog, client_host_.addr(), queue_.now(), obs::EventSev::kDebug,
                 obs::EventCat::kRoute, obs::EventCode::kRouteDecision, ctx.trace_id,
                 "route:mirror_write", {{"xid", req.xid}});
 
@@ -1332,9 +1334,9 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
                                         (replication - 1) * config_.mirror_copy_ns_per_byte));
   obs::ChargeSim(prof_ledger_, obs::LedgerCat::kQueue, copy_start - copy_now);
   obs::ChargeSim(prof_ledger_, obs::LedgerCat::kCpu, copy_done - copy_start);
-  if (tracer_ != nullptr && ctx.valid() && copy_done > copy_start) {
-    tracer_->RecordSpan(client_host_.addr(), ctx, obs::SpanCat::kCpu, "mirror_copy",
-                        copy_start, copy_done);
+  if (sinks_.tracer != nullptr && ctx.valid() && copy_done > copy_start) {
+    sinks_.tracer->RecordSpan(client_host_.addr(), ctx, obs::SpanCat::kCpu, "mirror_copy",
+                              copy_start, copy_done);
   }
 
   // Partition the replica set by manager-reported liveness: live replicas
@@ -1358,7 +1360,7 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
   // acks) all inherit this context through own_rpc_. The replica writes may
   // wait for the intent log, after the client's datagram is gone, so they
   // send from one owned copy of the payload.
-  obs::ScopedContext scope(tracer_, ctx);
+  obs::ScopedContext scope(sinks_.tracer, ctx);
   WithIntent(IntentOp::kMirrorWrite, args.file, args.offset,
              [this, fh = args.file, offset = args.offset, count = args.count,
               stable = args.stable, data = Bytes(args.data.begin(), args.data.end()), client,
@@ -1434,10 +1436,10 @@ void Uproxy::AbsorbMultiCommit(const DecodedView& req, Endpoint client) {
   Pending* stored = pending_.Insert(KeyOf(client.port, req.xid)).first;
   *stored = pending;
   const obs::TraceContext ctx = BeginTrace(*stored, "route:multi_commit");
-  obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kDebug,
+  obs::LogEvent(sinks_.eventlog, client_host_.addr(), queue_.now(), obs::EventSev::kDebug,
                 obs::EventCat::kRoute, obs::EventCode::kRouteDecision, ctx.trace_id,
                 "route:multi_commit", {{"xid", req.xid}});
-  obs::ScopedContext scope(tracer_, ctx);
+  obs::ScopedContext scope(sinks_.tracer, ctx);
 
   // Commit pushes the file's attribute view back to the directory service.
   if (const AttrCache::Entry* entry = attr_cache_.Find(req.fh.fileid());
@@ -1564,7 +1566,7 @@ void Uproxy::ScheduleDataTruncate(const FileHandle& fh, uint64_t size) {
 // --- attribute writeback ---
 
 void Uproxy::WritebackAttrs(uint64_t fileid, const Fattr3& attr) {
-  obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kDebug,
+  obs::LogEvent(sinks_.eventlog, client_host_.addr(), queue_.now(), obs::EventSev::kDebug,
                 obs::EventCat::kCache, obs::EventCode::kAttrWriteback, /*trace_id=*/0, nullptr,
                 {{"fileid", static_cast<int64_t>(fileid)},
                  {"size", static_cast<int64_t>(attr.size)}});

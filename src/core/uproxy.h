@@ -35,6 +35,7 @@
 #include "src/obs/eventlog.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
+#include "src/obs/sinks.h"
 #include "src/obs/trace.h"
 #include "src/rpc/rpc_client.h"
 #include "src/sim/stats.h"
@@ -91,7 +92,19 @@ struct UproxyConfig {
 class Uproxy : public PacketTap {
  public:
   // Installs itself as the tap on `client_host`'s network path.
-  Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig config);
+  //
+  // Observability (`sinks`): the µproxy is where traces begin. Each
+  // intercepted client request is assigned a trace id, its root span spans
+  // intercept to reply delivery, and the context is attached to every
+  // forwarded packet. Routing decisions, misdirect-driven reloads, table
+  // installs and soft-state drops are logged with the request's trace id.
+  // Route-mix and soft-state counters are providers over the OpCounters the
+  // µproxy already maintains; only the per-request CPU histogram and the
+  // attr-cache hit/miss counters touch the hot path. The profiler gets
+  // per-stage wall scopes plus cpu+queue ledger charges at the
+  // interposition CPU. The µproxy's own RPC client shares the same sinks.
+  Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig config,
+         const obs::Sinks& sinks = {});
   ~Uproxy() override;
 
   void HandleOutbound(Packet&& pkt) override;
@@ -140,22 +153,6 @@ class Uproxy : public PacketTap {
   const LookupCache& lookup_cache() const { return lookup_cache_; }
   size_t pending_count() const { return pending_.size(); }
 
-  // Observability: the µproxy is where traces begin — each intercepted
-  // client request is assigned a trace id, its root span spans intercept to
-  // reply delivery, and the context is attached to every forwarded packet.
-  void set_tracer(obs::Tracer* tracer) {
-    tracer_ = tracer;
-    own_rpc_->set_tracer(tracer);
-  }
-
-  // Event log: routing decisions, misdirect-driven reloads, table installs
-  // and soft-state drops are recorded with the request's trace id — the
-  // audit trail for the interposed decision points.
-  void set_eventlog(obs::EventLog* log) {
-    eventlog_ = log;
-    own_rpc_->set_eventlog(log);
-  }
-
   // Appends the trace ids of requests currently pending at this proxy
   // (deduped and sorted by the caller); the flight recorder snapshots these
   // so a dump names the requests that never completed.
@@ -165,20 +162,6 @@ class Uproxy : public PacketTap {
         out.push_back(pending.trace_id);
       }
     });
-  }
-
-  // Metrics plane: route-mix and soft-state counters are provider-backed
-  // over the OpCounters the µproxy already maintains; only the per-request
-  // CPU histogram and attr-cache hit/miss counters touch the hot path.
-  void set_metrics(obs::Metrics* metrics);
-
-  // Profiler: per-stage wall scopes (decode / route / soft-state / trace /
-  // rewrite / attr-patch / metrics under outbound / inbound) plus cpu+queue
-  // sim-time charges at the interposition CPU. The ledger pointer is cached
-  // here so steady-state charges never do a map lookup.
-  void set_profiler(obs::Profiler* profiler) {
-    profiler_ = profiler;
-    prof_ledger_ = profiler != nullptr ? profiler->LedgerFor(client_host_.addr()) : nullptr;
   }
 
   // --- routing decisions, exposed for tests and the Table 3 bench ---
@@ -267,6 +250,10 @@ class Uproxy : public PacketTap {
   void SynthesizeErrorReply(NfsProc proc, uint32_t xid, Endpoint client, Nfsstat3 status,
                             uint32_t tenant = 0);
 
+  // Constructor tail: hot-path instruments, OpCounters providers and the
+  // tenant instrument table, on the client host's registry.
+  void RegisterProxyMetrics(obs::Metrics& metrics);
+
   // Per-tenant QoS accounting against the hub-owned tenant instruments:
   // O(1) array index, Counter::Add / LatencyStats::Record only — nothing on
   // this path allocates (fastpath_alloc_test holds with tenants on).
@@ -330,10 +317,8 @@ class Uproxy : public PacketTap {
   RoutingTable sfs_table_;
   AttrCache attr_cache_;
   LookupCache lookup_cache_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::EventLog* eventlog_ = nullptr;
-  obs::Profiler* profiler_ = nullptr;
-  uint64_t* prof_ledger_ = nullptr;  // cached LedgerFor(client host); null when off
+  const obs::Sinks sinks_;
+  uint64_t* const prof_ledger_;  // cached LedgerFor(client host); null when off
   // Hot-path instruments (null when metrics are off — see obs::Inc/Observe).
   obs::Histogram* m_cpu_ = nullptr;
   obs::Counter* m_attr_hits_ = nullptr;

@@ -5,8 +5,11 @@
 namespace slice {
 
 WriteAheadLog::WriteAheadLog(Host& host, EventQueue& queue, Endpoint backing_node,
-                             FileHandle backing_object, WalParams params)
-    : queue_(queue), client_(host, queue, backing_node), object_(backing_object),
+                             FileHandle backing_object, WalParams params,
+                             const obs::Sinks& sinks)
+    : queue_(queue),
+      client_(host, queue, backing_node, RpcClientParams{}, sinks),
+      object_(backing_object),
       params_(params) {}
 
 void WriteAheadLog::Append(ByteSpan record) {

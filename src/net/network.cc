@@ -10,9 +10,13 @@ namespace slice {
 
 bool Network::batching_enabled_ = true;
 
-Network::Network(EventQueue& queue, NetworkParams params)
+Network::Network(EventQueue& queue, NetworkParams params, const obs::Sinks& sinks)
     : queue_(queue),
       params_(params),
+      tracer_(sinks.tracer),
+      metrics_(sinks.metrics),
+      eventlog_(sinks.eventlog),
+      profiler_(sinks.profiler),
       ns_per_byte_(8.0 / params.link_gbit_per_s),
       loss_rng_(params.loss_seed),
       // Dedicated stream: chaos draws must not advance the base loss model's
@@ -74,40 +78,17 @@ const char* Network::ApplyChaosShaping(NetAddr src, NetAddr dst, SimTime* extra)
 
 void Network::Attach(NetAddr addr, Handler handler) {
   SLICE_CHECK(!hosts_.contains(addr));
-  hosts_[addr].handler = std::move(handler);
-  RegisterHostMetrics(addr);
-  RegisterHostProfiler(addr);
+  Host& host = hosts_[addr];
+  host.handler = std::move(handler);
+  host.prof_ledger = profiler_ != nullptr ? profiler_->LedgerFor(addr) : nullptr;
+  RegisterHostMetrics(addr, host);
 }
 
-void Network::set_metrics(obs::Metrics* metrics) {
-  metrics_ = metrics;
+void Network::RegisterHostMetrics(NetAddr addr, Host& host) {
   if (metrics_ == nullptr || !metrics_->enabled()) {
-    return;
-  }
-  // Back-fill hosts attached before the metrics hub arrived, in address
-  // order (registry creation order is irrelevant to the sorted exports, but
-  // deterministic iteration costs nothing).
-  std::vector<NetAddr> addrs;
-  addrs.reserve(hosts_.size());
-  for (const auto& [addr, host] : hosts_) {
-    addrs.push_back(addr);
-  }
-  std::sort(addrs.begin(), addrs.end());
-  for (const NetAddr addr : addrs) {
-    RegisterHostMetrics(addr);
-  }
-}
-
-void Network::RegisterHostMetrics(NetAddr addr) {
-  if (metrics_ == nullptr || !metrics_->enabled()) {
-    return;
-  }
-  auto it = hosts_.find(addr);
-  if (it == hosts_.end()) {
     return;
   }
   obs::MetricsRegistry& reg = metrics_->Registry(addr);
-  Host& host = it->second;
   host.m_pkts_tx = reg.GetCounter("net_pkts_tx");
   host.m_bytes_tx = reg.GetCounter("net_bytes_tx");
   host.m_pkts_rx = reg.GetCounter("net_pkts_rx");
@@ -137,27 +118,6 @@ void Network::RegisterHostMetrics(NetAddr addr) {
                          static_cast<int64_t>(queue_.now());
     return backlog > 0 ? backlog : 0;
   });
-}
-
-void Network::set_profiler(obs::Profiler* profiler) {
-  profiler_ = profiler;
-  std::vector<NetAddr> addrs;
-  addrs.reserve(hosts_.size());
-  for (const auto& [addr, host] : hosts_) {
-    addrs.push_back(addr);
-  }
-  std::sort(addrs.begin(), addrs.end());
-  for (const NetAddr addr : addrs) {
-    RegisterHostProfiler(addr);
-  }
-}
-
-void Network::RegisterHostProfiler(NetAddr addr) {
-  auto it = hosts_.find(addr);
-  if (it == hosts_.end()) {
-    return;
-  }
-  it->second.prof_ledger = profiler_ != nullptr ? profiler_->LedgerFor(addr) : nullptr;
 }
 
 void Network::CollectNicBusy(std::map<uint32_t, uint64_t>* out) const {

@@ -103,7 +103,8 @@ class Profiler {
   //
   // LedgerFor returns a stable pointer to the host's 4-slot nanosecond
   // ledger (created on first use; std::map nodes never move). Components
-  // cache it once in set_profiler, so a steady-state charge is one add.
+  // cache it once at construction (obs::Sinks), so a steady-state charge is
+  // one add.
   uint64_t* LedgerFor(uint32_t host);
 
   // The coverage reference: fills per-host *independent* busy-time totals

@@ -27,6 +27,7 @@
 
 #include "src/obs/eventlog.h"
 #include "src/obs/metrics.h"
+#include "src/obs/sinks.h"
 #include "src/sim/event_queue.h"
 
 namespace slice::obs {
@@ -70,12 +71,14 @@ struct SloAlert {
 
 class SloEngine {
  public:
-  SloEngine(Metrics& metrics, SloParams params) : metrics_(metrics), params_(params) {}
+  // Reads the tenant plane of `metrics`; burn/ok edges are logged to
+  // `sinks.eventlog`.
+  SloEngine(Metrics& metrics, SloParams params, const Sinks& sinks = {})
+      : metrics_(metrics), params_(params), eventlog_(sinks.eventlog) {}
 
   SloEngine(const SloEngine&) = delete;
   SloEngine& operator=(const SloEngine&) = delete;
 
-  void set_eventlog(EventLog* log) { eventlog_ = log; }
   const SloParams& params() const { return params_; }
 
   // Scrape-hook entry point: snapshot every tenant's cumulative (ops, bad)
@@ -115,7 +118,7 @@ class SloEngine {
 
   Metrics& metrics_;
   SloParams params_;
-  EventLog* eventlog_ = nullptr;
+  EventLog* const eventlog_;
   std::map<uint32_t, TenantState> state_;  // tenant -> window state
   std::vector<SloAlert> alerts_;
 };

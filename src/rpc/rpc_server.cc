@@ -8,20 +8,21 @@
 namespace slice {
 
 RpcServerNode::RpcServerNode(Network& net, EventQueue& queue, NetAddr addr, NetPort port,
-                             RpcServerParams params)
-    : net_(net), queue_(queue), host_(std::make_unique<Host>(net, addr)), port_(port),
-      params_(params), drc_(params_.duplicate_cache_entries) {
+                             RpcServerParams params, const obs::Sinks& sinks)
+    : net_(net),
+      queue_(queue),
+      host_(std::make_unique<Host>(net, addr)),
+      port_(port),
+      params_(params),
+      sinks_(sinks),
+      prof_ledger_(sinks.profiler != nullptr ? sinks.profiler->LedgerFor(addr) : nullptr),
+      drc_(params_.duplicate_cache_entries) {
   host_->Bind(port_, [this](Packet&& pkt) { OnPacket(std::move(pkt)); });
-}
-
-RpcServerNode::~RpcServerNode() = default;
-
-void RpcServerNode::set_metrics(obs::Metrics* metrics) {
-  metrics_ = metrics;
-  if (metrics_ == nullptr || !metrics_->enabled()) {
+  obs::Metrics* const metrics = sinks_.metrics;
+  if (metrics == nullptr || !metrics->enabled()) {
     return;
   }
-  obs::MetricsRegistry& reg = metrics_->Registry(addr());
+  obs::MetricsRegistry& reg = metrics->Registry(addr);
   reg.GetCounter("srv_requests")->SetProvider([this]() { return requests_served_; });
   reg.GetCounter("srv_drc_replays")->SetProvider([this]() { return duplicates_answered_; });
   reg.GetCounter("srv_cpu_busy_ns")->SetProvider([this]() {
@@ -36,7 +37,7 @@ void RpcServerNode::set_metrics(obs::Metrics* metrics) {
   // untenanted metrics exports stay byte-identical to older builds). Shows
   // which tenant's requests land on which node — the demand side of the
   // hotspot picture.
-  if (const uint32_t tenants = metrics_->num_tenants(); tenants > 0) {
+  if (const uint32_t tenants = metrics->num_tenants(); tenants > 0) {
     tenant_requests_.assign(tenants, 0);
     for (uint32_t j = 0; j < tenants; ++j) {
       char name[32];
@@ -46,11 +47,13 @@ void RpcServerNode::set_metrics(obs::Metrics* metrics) {
   }
 }
 
+RpcServerNode::~RpcServerNode() = default;
+
 void RpcServerNode::Fail() {
   failed_ = true;
   net_.SetHostFailed(host_->addr(), true);
-  obs::LogEvent(eventlog_, addr(), queue_.now(), obs::EventSev::kError, obs::EventCat::kFailover,
-                obs::EventCode::kNodeKill);
+  obs::LogEvent(sinks_.eventlog, addr(), queue_.now(), obs::EventSev::kError,
+                obs::EventCat::kFailover, obs::EventCode::kNodeKill);
 }
 
 void RpcServerNode::Restart() {
@@ -60,8 +63,8 @@ void RpcServerNode::Restart() {
   // re-execute, which is exactly the at-least-once contract NFS retries
   // assume.
   drc_.Clear();
-  obs::LogEvent(eventlog_, addr(), queue_.now(), obs::EventSev::kInfo, obs::EventCat::kFailover,
-                obs::EventCode::kNodeRecover);
+  obs::LogEvent(sinks_.eventlog, addr(), queue_.now(), obs::EventSev::kInfo,
+                obs::EventCat::kFailover, obs::EventCode::kNodeRecover);
   OnRestart();
 }
 
@@ -79,7 +82,7 @@ void RpcServerNode::OnPacket(Packet&& pkt) {
   // Lift the span context off the wire (the trailer sits outside payload(),
   // so decoding below is oblivious to it either way).
   obs::TraceContext trace;
-  if (tracer_ != nullptr || eventlog_ != nullptr) {
+  if (sinks_.tracer != nullptr || sinks_.eventlog != nullptr) {
     pkt.PeekTrace(&trace.trace_id, &trace.span_id);
   }
 
@@ -96,12 +99,12 @@ void RpcServerNode::OnPacket(Packet&& pkt) {
   if (const Bytes* cached = drc_.FindReply(key)) {
     ++duplicates_answered_;
     Packet out = Packet::MakeUdp(endpoint(), client, *cached);
-    if (tracer_ != nullptr && trace.valid()) {
-      tracer_->RecordInstant(addr(), trace, "drc_replay", queue_.now());
+    if (sinks_.tracer != nullptr && trace.valid()) {
+      sinks_.tracer->RecordInstant(addr(), trace, "drc_replay", queue_.now());
       out.AttachTrace(trace.trace_id, trace.span_id);
     }
-    obs::LogEvent(eventlog_, addr(), queue_.now(), obs::EventSev::kInfo, obs::EventCat::kRpc,
-                  obs::EventCode::kDrcReplay, trace.trace_id, nullptr,
+    obs::LogEvent(sinks_.eventlog, addr(), queue_.now(), obs::EventSev::kInfo,
+                  obs::EventCat::kRpc, obs::EventCode::kDrcReplay, trace.trace_id, nullptr,
                   {{"xid", decoded->xid}});
     SendPacket(std::move(out));
     return;
@@ -123,8 +126,8 @@ void RpcServerNode::OnPacket(Packet&& pkt) {
   // Run the dispatch under the request's context so handlers that issue
   // their own network I/O (small-file backing fetches, WAL appends) chain
   // those calls into this trace.
-  obs::ScopedContext scope(tracer_, trace);
-  obs::Profiler::Scope prof_scope(profiler_, obs::ProfScope::kRpcDispatch);
+  obs::ScopedContext scope(sinks_.tracer, trace);
+  obs::Profiler::Scope prof_scope(sinks_.profiler, obs::ProfScope::kRpcDispatch);
   DispatchCall(*decoded, client, ReplyFn(this, key, client, trace));
 }
 
@@ -158,20 +161,20 @@ void RpcServerNode::CompleteCall(const DrcKey& key, const Endpoint& client,
   const SimTime done_at = cpu_done > cost.completion() ? cpu_done : cost.completion();
   obs::ChargeSim(prof_ledger_, obs::LedgerCat::kQueue, cpu_start - ready_at);
   obs::ChargeSim(prof_ledger_, obs::LedgerCat::kCpu, cost.cpu());
-  if (tracer_ != nullptr && trace.valid()) {
+  if (sinks_.tracer != nullptr && trace.valid()) {
     if (cpu_start > ready_at) {
-      tracer_->RecordSpan(addr(), trace, obs::SpanCat::kQueue, "srv_cpu_wait", ready_at,
-                          cpu_start);
+      sinks_.tracer->RecordSpan(addr(), trace, obs::SpanCat::kQueue, "srv_cpu_wait", ready_at,
+                                cpu_start);
     }
     if (cpu_done > cpu_start) {
-      tracer_->RecordSpan(addr(), trace, obs::SpanCat::kCpu, "srv_cpu", cpu_start,
-                          cpu_done);
+      sinks_.tracer->RecordSpan(addr(), trace, obs::SpanCat::kCpu, "srv_cpu", cpu_start,
+                                cpu_done);
     }
     if (done_at > cpu_done) {
       // Completion-bound tail (disk I/O finishing after the CPU); storage
       // nodes record the precise disk spans underneath this window.
-      tracer_->RecordSpan(addr(), trace, obs::SpanCat::kService, "srv_completion",
-                          cpu_done, done_at);
+      sinks_.tracer->RecordSpan(addr(), trace, obs::SpanCat::kService, "srv_completion",
+                                cpu_done, done_at);
     }
   }
 
@@ -181,7 +184,7 @@ void RpcServerNode::CompleteCall(const DrcKey& key, const Endpoint& client,
   // ScheduleAt closure — a flight's paired drain draws from the same event
   // sequence the closure would have.
   Packet out = Packet::MakeUdp(endpoint(), client, ByteSpan(reply_enc_.bytes()));
-  if (tracer_ != nullptr && trace.valid()) {
+  if (sinks_.tracer != nullptr && trace.valid()) {
     out.AttachTrace(trace.trace_id, trace.span_id);
   }
   net_.SendAt(std::move(out), done_at);

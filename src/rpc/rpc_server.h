@@ -24,6 +24,7 @@
 #include "src/obs/eventlog.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
+#include "src/obs/sinks.h"
 #include "src/obs/trace.h"
 #include "src/rpc/rpc_message.h"
 #include "src/sim/event_queue.h"
@@ -162,8 +163,15 @@ class DuplicateRequestCache {
 
 class RpcServerNode {
  public:
+  // Observability (`sinks`): requests carrying a trace trailer get
+  // queue/CPU/service spans and their replies carry the context back; node
+  // kill/recover and DRC replays are logged; request/DRC/CPU instruments
+  // are registered (provider-backed, nothing on the request hot path); and
+  // the rpc.dispatch wall scope plus cpu/queue ledger charges are profiled.
+  // Subclasses pass the same handle on to their nested clients and register
+  // their own instruments in their own constructors.
   RpcServerNode(Network& net, EventQueue& queue, NetAddr addr, NetPort port,
-                RpcServerParams params = {});
+                RpcServerParams params = {}, const obs::Sinks& sinks = {});
   virtual ~RpcServerNode();
 
   RpcServerNode(const RpcServerNode&) = delete;
@@ -186,37 +194,12 @@ class RpcServerNode {
   uint64_t duplicates_answered() const { return duplicates_answered_; }
   const BusyResource& cpu() const { return cpu_; }
 
-  // Observability: requests carrying a trace trailer get queue/CPU/service
-  // spans, and their replies carry the context back. Virtual so servers with
-  // internal clients (small-file server, WAL-backed managers) can forward
-  // the tracer to them; overrides must call the base.
-  virtual void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-  // Metrics plane: registers this node's request/DRC/CPU instruments against
-  // its host registry, all provider-backed (nothing added to the request hot
-  // path). Virtual so subclasses can register their own instruments on top;
-  // overrides must call the base.
-  virtual void set_metrics(obs::Metrics* metrics);
-
-  // Event log: node kill/recover and DRC duplicate replays are recorded so
-  // crash-driven failovers have a causal trail. Subclasses may override to
-  // wire nested components (e.g. the dir WAL).
-  virtual void set_eventlog(obs::EventLog* log) { eventlog_ = log; }
-
-  // Profiler: the rpc.dispatch wall scope around every served call plus
-  // cpu/queue sim-time charges at the CPU acquire point. Virtual so
-  // subclasses with nested scopes (storage cache/disk, dir name ops) can
-  // hook the same call; overrides must call the base.
-  virtual void set_profiler(obs::Profiler* profiler) {
-    profiler_ = profiler;
-    prof_ledger_ = profiler != nullptr ? profiler->LedgerFor(addr()) : nullptr;
-  }
-
  protected:
-  obs::Tracer* tracer() const { return tracer_; }
-  obs::Metrics* metrics() const { return metrics_; }
-  obs::EventLog* eventlog() const { return eventlog_; }
-  obs::Profiler* profiler() const { return profiler_; }
+  const obs::Sinks& sinks() const { return sinks_; }
+  obs::Tracer* tracer() const { return sinks_.tracer; }
+  obs::Metrics* metrics() const { return sinks_.metrics; }
+  obs::EventLog* eventlog() const { return sinks_.eventlog; }
+  obs::Profiler* profiler() const { return sinks_.profiler; }
   uint64_t* prof_ledger() const { return prof_ledger_; }
 
   // Completion token for asynchronous dispatch: subclasses invoke it exactly
@@ -286,17 +269,14 @@ class RpcServerNode {
   std::unique_ptr<Host> host_;
   NetPort port_;
   RpcServerParams params_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::Metrics* metrics_ = nullptr;
-  obs::EventLog* eventlog_ = nullptr;
-  obs::Profiler* profiler_ = nullptr;
-  uint64_t* prof_ledger_ = nullptr;  // cached LedgerFor(addr()); null when off
+  const obs::Sinks sinks_;
+  uint64_t* const prof_ledger_;  // cached LedgerFor(addr()); null when off
   BusyResource cpu_;
   bool failed_ = false;
   uint64_t requests_served_ = 0;
   uint64_t duplicates_answered_ = 0;
   // Per-tenant request counts (index j = tenant j+1, from the AUTH_SYS uid).
-  // Sized once by set_metrics when the hub has tenants configured; empty
+  // Sized once at construction when the hub has tenants configured; empty
   // otherwise, so the untenanted hot path pays one empty() check.
   std::vector<uint64_t> tenant_requests_;
 

@@ -17,8 +17,8 @@ ObjectId ObjectIdFor(const FileHandle& fh) {
 }  // namespace
 
 StorageNode::StorageNode(Network& net, EventQueue& queue, NetAddr addr,
-                         StorageNodeParams params, uint64_t seed)
-    : RpcServerNode(net, queue, addr, kNfsPort),
+                         StorageNodeParams params, uint64_t seed, const obs::Sinks& sinks)
+    : RpcServerNode(net, queue, addr, kNfsPort, RpcServerParams{}, sinks),
       params_(params),
       store_(params.capacity_bytes),
       cache_(params.cache_bytes),
@@ -31,14 +31,10 @@ StorageNode::StorageNode(Network& net, EventQueue& queue, NetAddr addr,
   // stamp. Tying the lifetime to eviction also bounds the table by the cache
   // size (this replaces an episodic size-triggered clear).
   cache_.SetEvictionHook([this](PhysBlock block) { pending_ready_.Erase(block); });
-}
-
-void StorageNode::set_metrics(obs::Metrics* metrics) {
-  RpcServerNode::set_metrics(metrics);
-  if (metrics == nullptr || !metrics->enabled()) {
+  if (metrics() == nullptr || !metrics()->enabled()) {
     return;
   }
-  obs::MetricsRegistry& reg = metrics->Registry(addr());
+  obs::MetricsRegistry& reg = metrics()->Registry(addr);
   reg.GetCounter("storage_disk_ios")->SetProvider([this]() { return disks_.TotalIos(); });
   reg.GetCounter("storage_disk_busy_ns")->SetProvider([this]() {
     return static_cast<uint64_t>(disks_.TotalBusy());

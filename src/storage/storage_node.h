@@ -46,8 +46,10 @@ struct StorageNodeParams {
 
 class StorageNode : public RpcServerNode {
  public:
+  // On top of the base server's instruments, `sinks.metrics` gets
+  // disk-array and block-cache providers.
   StorageNode(Network& net, EventQueue& queue, NetAddr addr, StorageNodeParams params,
-              uint64_t seed = 1);
+              uint64_t seed = 1, const obs::Sinks& sinks = {});
 
   const ObjectStore& store() const { return store_; }
   ObjectStore& mutable_store() { return store_; }
@@ -60,10 +62,6 @@ class StorageNode : public RpcServerNode {
   void SetDiskLatencyMultiplier(double multiplier) { disks_.SetLatencyMultiplier(multiplier); }
   uint64_t write_verifier() const { return write_verifier_; }
   uint64_t prefetches_issued() const { return prefetches_issued_; }
-
-  // Adds disk-array and block-cache instruments on top of the base server
-  // metrics (all provider-backed).
-  void set_metrics(obs::Metrics* metrics) override;
 
  protected:
   RpcAcceptStat HandleCall(const RpcMessageView& call, XdrEncoder& reply,

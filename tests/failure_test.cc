@@ -337,6 +337,39 @@ TEST(ControlPlaneE2eTest, WorkloadSurvivesStorageAndDirDeathUnderLoss) {
   EXPECT_EQ(errors, 0) << "client-visible errors during failover";
 }
 
+class MirroredLoggedFailureTest : public FailureTest {
+ protected:
+  MirroredLoggedFailureTest() : FailureTest(Config()) {}
+
+  static EnsembleConfig Config() {
+    EnsembleConfig config = DefaultConfig();
+    config.default_replication = 2;
+    config.eventlog.enabled = true;
+    return config;
+  }
+};
+
+TEST_F(MirroredLoggedFailureTest, OwnCallRetransmitsAreLoggedAfterSoftStateDrop) {
+  // Dropping soft state rebuilds the µproxy's own RPC client. The rebuilt
+  // client must keep the event log: a mirrored write whose second replica
+  // is dead retransmits from it, and the flight recorder has to see that.
+  CreateRes created = client_->Create(root_, "mirrored").value();
+  ASSERT_EQ(created.status, Nfsstat3::kOk);
+  ensemble_->uproxy(0).DropSoftState();
+  ensemble_->storage_node(1).Fail();
+  (void)client_->Write(*created.object, 1 << 20, Pattern(32768), StableHow::kFileSync);
+  queue_.RunUntilIdle();
+
+  const uint32_t proxy_host = ensemble_->client_host(0).addr();
+  size_t retransmits = 0;
+  for (const obs::Event& e : ensemble_->eventlog()->Collect()) {
+    if (e.host == proxy_host && e.code == obs::EventCode::kRpcRetransmit) {
+      ++retransmits;
+    }
+  }
+  EXPECT_GT(retransmits, 0u);
+}
+
 TEST_F(FailureTest, CapabilityForgeryBlockedAtStorage) {
   // A µproxy outside the trust boundary can only touch what its client
   // could: a handle minted with the wrong secret is refused by every

@@ -32,7 +32,7 @@ TEST(ProfilerTest, LedgerChargesAccumulateAndPointerIsStable) {
   uint64_t* ledger = profiler.LedgerFor(0x0a000001);
   ASSERT_NE(ledger, nullptr);
   // std::map nodes never move: creating more hosts must not invalidate the
-  // pointer components cached at set_profiler time.
+  // pointer components cached at construction.
   profiler.LedgerFor(0x0a000002);
   profiler.LedgerFor(0x01020304);
   EXPECT_EQ(ledger, profiler.LedgerFor(0x0a000001));
