@@ -35,12 +35,12 @@ constexpr Golden kGoldens[] = {
     {"asymmetric_loss", 0x404b7dc0de367e23ull},
     {"burst_loss", 0x095e72dd16a59f0eull},
     {"gray_disk", 0xbb3a6d1fc4551b12ull},
-    {"correlated_crash", 0xdabbb5a64254242eull},
-    {"correlated_crash_restart_storm", 0xb7d02261edfcba01ull},
+    {"correlated_crash", 0x7bbc8ef913b49750ull},
+    {"correlated_crash_restart_storm", 0x55ff8617b581b803ull},
     {"skewed_heartbeats", 0x227fdcd7d45b5eaaull},
-    {"flapping_node", 0xc543e7041ec7701eull},
+    {"flapping_node", 0x2e1fe0913c3c2f13ull},
     {"stale_cache_partition", 0x49f8ce5cd9db2dfdull},
-    {"noisy_neighbor", 0x0791515ebaafc9f3ull},
+    {"noisy_neighbor", 0xf5c1ec2e7d356a72ull},
 };
 
 uint64_t GoldenFor(const std::string& name) {

@@ -260,6 +260,53 @@ TEST_F(SfsTest, DuplicateReadIsDroppedWhileWaitingAndReexecutesAfter) {
   }
 }
 
+TEST(SfsEventLogTest, BackingFetchGiveUpIsLoggedOnServerHost) {
+  // A READ that misses the cache fetches its block from the storage array.
+  // When that node is dead the fetch retransmits and gives up; both must
+  // land in the event log under the small-file server's host, so a flight
+  // dump explains why the READ failed.
+  obs::EventLog log;
+  EventQueue queue;
+  Network net(queue, NetworkParams{});
+  StorageNodeParams snp;
+  snp.volume_secret = kSecret;
+  StorageNode storage(net, queue, kStorage0, snp);
+  SmallFileServerParams params;
+  params.volume_secret = kSecret;
+  params.backing_node = storage.endpoint();
+  params.backing_object = FileHandle::Make(1, (0xfdull << 48) | 0, 1, FileType3::kReg, 1, kSecret);
+  SmallFileServer sfs(net, queue, kSfsAddr, params, {storage.endpoint()},
+                      obs::Sinks{.eventlog = &log});
+  Host client_host(net, kClientAddr);
+  SyncNfsClient client(client_host, queue, sfs.endpoint());
+
+  const FileHandle fh = FileHandle::Make(1, 10, 1, FileType3::kReg, 1, kSecret);
+  ASSERT_EQ(client.Write(fh, 0, Bytes(3000, 7), StableHow::kFileSync).value().status,
+            Nfsstat3::kOk);
+  sfs.FlushDirtyForTest();
+  queue.RunUntilIdle();
+  // Cold cache: the restart replays the map records from the WAL, so the
+  // READ below has to fetch its data block from the (now dead) node.
+  sfs.Fail();
+  sfs.Restart();
+  queue.RunUntilIdle();
+  storage.Fail();
+  (void)client.Read(fh, 0, 3000);
+  queue.RunUntilIdle();
+
+  size_t retransmits = 0;
+  size_t give_ups = 0;
+  for (const obs::Event& e : log.Collect()) {
+    if (e.host != kSfsAddr) {
+      continue;
+    }
+    retransmits += e.code == obs::EventCode::kRpcRetransmit ? 1 : 0;
+    give_ups += e.code == obs::EventCode::kRpcGiveUp ? 1 : 0;
+  }
+  EXPECT_GT(retransmits, 0u);
+  EXPECT_GT(give_ups, 0u);
+}
+
 TEST_F(SfsTest, TruncateFreesFragments) {
   ASSERT_EQ(client_->Write(Fh(), 0, Pattern(3 * kStoreBlockSize), StableHow::kFileSync)
                 .value()
