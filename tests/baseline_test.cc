@@ -73,6 +73,21 @@ TEST_F(BaselineTest, RenameAndLink) {
   EXPECT_EQ(client_->Lookup(root_, "b").value().status, Nfsstat3::kOk);
 }
 
+TEST_F(BaselineTest, RenameOntoItselfChangesNothing) {
+  CreateRes created = client_->Create(root_, "same").value();
+  ASSERT_EQ(created.status, Nfsstat3::kOk);
+  ASSERT_EQ(client_->Write(*created.object, 0, Bytes(100, 9), StableHow::kFileSync)
+                .value()
+                .status,
+            Nfsstat3::kOk);
+  ASSERT_EQ(client_->Rename(root_, "same", root_, "same").value().status, Nfsstat3::kOk);
+  Result<Fattr3> attr = client_->Getattr(*created.object);
+  ASSERT_TRUE(attr.ok()) << attr.status().ToString();
+  EXPECT_EQ(attr->nlink, 1u);
+  EXPECT_EQ(client_->Read(*created.object, 0, 100).value().data, Bytes(100, 9))
+      << "the file keeps its data";
+}
+
 TEST_F(BaselineTest, SymlinkReadlink) {
   CreateRes made = client_->Symlink(root_, "lnk", "/somewhere").value();
   ASSERT_EQ(made.status, Nfsstat3::kOk);

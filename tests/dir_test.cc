@@ -250,6 +250,16 @@ TEST_F(DirServerTest, RenameReplacesExistingTarget) {
   EXPECT_FALSE(At(*victim.object).Getattr(*victim.object).ok());
 }
 
+TEST_F(DirServerTest, RenameOntoItselfChangesNothing) {
+  CreateRes created = At(root_).Create(root_, "same").value();
+  ASSERT_EQ(created.status, Nfsstat3::kOk);
+  ASSERT_EQ(At(root_).Rename(root_, "same", root_, "same").value().status, Nfsstat3::kOk);
+  Result<Fattr3> attr = At(*created.object).Getattr(*created.object);
+  ASSERT_TRUE(attr.ok()) << attr.status().ToString();
+  EXPECT_EQ(attr->nlink, 1u);
+  EXPECT_EQ(At(root_).Lookup(root_, "same").value().object, *created.object);
+}
+
 TEST_F(DirServerTest, RenameMissingSourceIsNoent) {
   EXPECT_EQ(At(root_).Rename(root_, "nope", root_, "x").value().status, Nfsstat3::kErrNoent);
 }
