@@ -169,7 +169,8 @@ void SmallFileServer::WriteZone(uint64_t offset, ByteSpan data, uint64_t fileid)
   }
 }
 
-void SmallFileServer::EnsureResident(std::vector<uint64_t> blocks, std::function<void()> next) {
+void SmallFileServer::EnsureResident(std::vector<uint64_t> blocks,
+                                     std::function<void(bool)> next) {
   std::vector<uint64_t> missing;
   for (uint64_t block : blocks) {
     if (pages_.contains(block)) {
@@ -179,24 +180,36 @@ void SmallFileServer::EnsureResident(std::vector<uint64_t> blocks, std::function
     }
   }
   if (missing.empty()) {
-    next();
+    next(true);
     return;
   }
-  auto pending = std::make_shared<size_t>(missing.size());
-  auto after = std::make_shared<std::function<void()>>(std::move(next));
+  struct Fetches {
+    size_t pending;
+    bool ok = true;
+    std::function<void(bool)> next;
+  };
+  auto fetches =
+      std::make_shared<Fetches>(Fetches{.pending = missing.size(), .next = std::move(next)});
   for (uint64_t block : missing) {
     ++backing_fetches_;
     NfsClient& client = *node_clients_[block % node_clients_.size()];
     client.Read(zone_handle_, block * kStoreBlockSize, kStoreBlockSize,
-                [this, block, pending, after](Status st, const ReadRes& res) {
-                  uint8_t* page = PageFor(block);
-                  if (st.ok() && res.status == Nfsstat3::kOk && !res.data.empty()) {
-                    std::memcpy(page, res.data.data(),
-                                std::min<size_t>(res.data.size(), kStoreBlockSize));
+                [this, block, fetches](Status st, const ReadRes& res) {
+                  // Only a fetch that succeeded makes the block resident; an
+                  // OK reply with short or no data is a hole and reads as
+                  // zeros. A failed fetch leaves no page behind.
+                  if (st.ok() && res.status == Nfsstat3::kOk) {
+                    uint8_t* page = PageFor(block);
+                    if (!res.data.empty()) {
+                      std::memcpy(page, res.data.data(),
+                                  std::min<size_t>(res.data.size(), kStoreBlockSize));
+                    }
+                    cache_.Access(block);  // count the miss-fill
+                  } else {
+                    fetches->ok = false;
                   }
-                  cache_.Access(block);  // count the miss-fill
-                  if (--*pending == 0) {
-                    (*after)();
+                  if (--fetches->pending == 0) {
+                    fetches->next(fetches->ok);
                   }
                 });
   }
@@ -424,10 +437,12 @@ void SmallFileServer::DoRead(const ReadArgs& args, Done done) {
   const uint64_t offset = args.offset;
   const uint32_t count = args.count;
   EnsureResident(std::move(need), [this, fh, fileid, offset, count, cost, size,
-                                   done = std::move(done)]() mutable {
+                                   done = std::move(done)](bool resident) mutable {
     ReadRes res;
     const auto it = maps_.find(fileid);
-    if (it == maps_.end() || offset >= size) {
+    if (!resident) {
+      res.status = Nfsstat3::kErrIo;
+    } else if (it == maps_.end() || offset >= size) {
       res.eof = true;
       res.count = 0;
     } else {
@@ -494,7 +509,15 @@ void SmallFileServer::DoWrite(const WriteArgs& args, Done done) {
   EnsureResident(std::move(need), [this, fh = args.file, offset = args.offset,
                                    stable = args.stable,
                                    data = Bytes(args.data.begin(), args.data.end()), cost,
-                                   done = std::move(done)]() mutable {
+                                   done = std::move(done)](bool resident) mutable {
+    if (!resident) {
+      WriteRes res;
+      res.status = Nfsstat3::kErrIo;
+      XdrEncoder enc;
+      res.Encode(enc);
+      done(RpcAcceptStat::kSuccess, enc.Take(), cost);
+      return;
+    }
     const uint64_t file_id = fh.fileid();
     MapRecord& map = maps_[file_id];
     size_t consumed = 0;

@@ -88,8 +88,9 @@ class SmallFileServer : public RpcServerNode {
   using Done = std::function<void(RpcAcceptStat, Bytes, ServiceCost)>;
 
   // Fetches any non-resident backing blocks, then runs `next` (possibly
-  // synchronously when everything is resident).
-  void EnsureResident(std::vector<uint64_t> blocks, std::function<void()> next);
+  // synchronously when everything is resident). `next` gets false when any
+  // fetch failed; the blocks it missed stay non-resident.
+  void EnsureResident(std::vector<uint64_t> blocks, std::function<void(bool)> next);
   // Flushes all dirty pages to the storage array, then runs `next`. Dirty
   // pages batch into one stream per storage node (create batching, §4.4).
   void FlushDirty(std::function<void()> next);

@@ -3,6 +3,8 @@
 // write + commit semantics, cache-miss fetches, truncate/remove, recovery.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/nfs/nfs_client.h"
 #include "src/sfs/fragment_alloc.h"
 #include "src/sfs/small_file_server.h"
@@ -260,43 +262,68 @@ TEST_F(SfsTest, DuplicateReadIsDroppedWhileWaitingAndReexecutesAfter) {
   }
 }
 
-TEST(SfsEventLogTest, BackingFetchGiveUpIsLoggedOnServerHost) {
+// A small-file server backed by one storage node, holding one 3000-byte
+// file of 7s that is flushed to the node and then dropped from the cache.
+class SfsEventLogTest : public ::testing::Test {
+ protected:
+  SfsEventLogTest()
+      : net_(queue_, NetworkParams{}),
+        storage_(net_, queue_, kStorage0, StorageParams()),
+        sfs_(net_, queue_, kSfsAddr, SfsParams(), {storage_.endpoint()},
+             obs::Sinks{.eventlog = &log_}),
+        client_host_(net_, kClientAddr),
+        client_(client_host_, queue_, sfs_.endpoint()) {}
+
+  static StorageNodeParams StorageParams() {
+    StorageNodeParams params;
+    params.volume_secret = kSecret;
+    return params;
+  }
+  SmallFileServerParams SfsParams() const {
+    SmallFileServerParams params;
+    params.volume_secret = kSecret;
+    params.backing_node = storage_.endpoint();
+    params.backing_object =
+        FileHandle::Make(1, (0xfdull << 48) | 0, 1, FileType3::kReg, 1, kSecret);
+    return params;
+  }
+
+  // Writes the file, flushes it and restarts the server: the restart
+  // replays the map records from the WAL, so the next READ has to fetch
+  // its data block from the storage node.
+  void WriteFlushAndDropCache() {
+    ASSERT_EQ(client_.Write(fh_, 0, Bytes(3000, 7), StableHow::kFileSync).value().status,
+              Nfsstat3::kOk);
+    sfs_.FlushDirtyForTest();
+    queue_.RunUntilIdle();
+    sfs_.Fail();
+    sfs_.Restart();
+    queue_.RunUntilIdle();
+  }
+
+  obs::EventLog log_;
+  EventQueue queue_;
+  Network net_;
+  StorageNode storage_;
+  SmallFileServer sfs_;
+  Host client_host_;
+  SyncNfsClient client_;
+  const FileHandle fh_ = FileHandle::Make(1, 10, 1, FileType3::kReg, 1, kSecret);
+};
+
+TEST_F(SfsEventLogTest, BackingFetchGiveUpIsLoggedOnServerHost) {
   // A READ that misses the cache fetches its block from the storage array.
   // When that node is dead the fetch retransmits and gives up; both must
   // land in the event log under the small-file server's host, so a flight
   // dump explains why the READ failed.
-  obs::EventLog log;
-  EventQueue queue;
-  Network net(queue, NetworkParams{});
-  StorageNodeParams snp;
-  snp.volume_secret = kSecret;
-  StorageNode storage(net, queue, kStorage0, snp);
-  SmallFileServerParams params;
-  params.volume_secret = kSecret;
-  params.backing_node = storage.endpoint();
-  params.backing_object = FileHandle::Make(1, (0xfdull << 48) | 0, 1, FileType3::kReg, 1, kSecret);
-  SmallFileServer sfs(net, queue, kSfsAddr, params, {storage.endpoint()},
-                      obs::Sinks{.eventlog = &log});
-  Host client_host(net, kClientAddr);
-  SyncNfsClient client(client_host, queue, sfs.endpoint());
-
-  const FileHandle fh = FileHandle::Make(1, 10, 1, FileType3::kReg, 1, kSecret);
-  ASSERT_EQ(client.Write(fh, 0, Bytes(3000, 7), StableHow::kFileSync).value().status,
-            Nfsstat3::kOk);
-  sfs.FlushDirtyForTest();
-  queue.RunUntilIdle();
-  // Cold cache: the restart replays the map records from the WAL, so the
-  // READ below has to fetch its data block from the (now dead) node.
-  sfs.Fail();
-  sfs.Restart();
-  queue.RunUntilIdle();
-  storage.Fail();
-  (void)client.Read(fh, 0, 3000);
-  queue.RunUntilIdle();
+  WriteFlushAndDropCache();
+  storage_.Fail();
+  (void)client_.Read(fh_, 0, 3000);
+  queue_.RunUntilIdle();
 
   size_t retransmits = 0;
   size_t give_ups = 0;
-  for (const obs::Event& e : log.Collect()) {
+  for (const obs::Event& e : log_.Collect()) {
     if (e.host != kSfsAddr) {
       continue;
     }
@@ -305,6 +332,40 @@ TEST(SfsEventLogTest, BackingFetchGiveUpIsLoggedOnServerHost) {
   }
   EXPECT_GT(retransmits, 0u);
   EXPECT_GT(give_ups, 0u);
+}
+
+TEST_F(SfsEventLogTest, FailedBackingFetchLeavesNoZeroPage) {
+  // A fetch that gives up must not make its block resident: READ and WRITE
+  // fail with NFS3ERR_IO and change nothing, and once the node is back the
+  // next READ fetches the acknowledged bytes instead of serving a zero page.
+  WriteFlushAndDropCache();
+  storage_.Fail();
+  // Outlasts the server's own fetch retries, so it sees the server's reply.
+  NfsClient patient(client_host_, queue_, sfs_.endpoint(),
+                    RpcClientParams{.max_transmissions = 10});
+  std::optional<ReadRes> read_reply;
+  patient.Read(fh_, 0, 3000, [&](Status st, const ReadRes& res) {
+    ASSERT_TRUE(st.ok());
+    read_reply = res;
+  });
+  std::optional<WriteRes> write_reply;
+  const Bytes nines(100, 9);
+  patient.Write(fh_, 0, nines, StableHow::kUnstable, [&](Status st, const WriteRes& res) {
+    ASSERT_TRUE(st.ok());
+    write_reply = res;
+  });
+  queue_.RunUntilIdle();
+  ASSERT_TRUE(read_reply.has_value());
+  EXPECT_EQ(read_reply->status, Nfsstat3::kErrIo);
+  ASSERT_TRUE(write_reply.has_value());
+  EXPECT_EQ(write_reply->status, Nfsstat3::kErrIo);
+
+  storage_.Restart();
+  queue_.RunUntilIdle();
+  Result<ReadRes> read = client_.Read(fh_, 0, 3000);
+  ASSERT_TRUE(read.ok());
+  ASSERT_EQ(read->status, Nfsstat3::kOk);
+  EXPECT_EQ(read->data, Bytes(3000, 7));
 }
 
 TEST_F(SfsTest, TruncateFreesFragments) {
