@@ -1,107 +1,17 @@
 // Machine-readable bench baselines: every figure/table bench emits a
 // BENCH_<name>.json next to its human-readable output, so CI can diff runs
 // against a checked-in golden with tolerances instead of eyeballing logs.
-//
-// The writer is deliberately tiny and deterministic: keys are emitted in the
-// order the bench writes them (benches write fixed key sequences), and all
-// floats go through the integer fixed-point formatter shared with the
-// metrics exporter — byte output never depends on locale or printf.
+// The benches build the document with the shared JsonWriter
+// (src/common/json.h) and write it with WriteBenchFile.
 #ifndef SLICE_BENCH_BENCH_JSON_H_
 #define SLICE_BENCH_BENCH_JSON_H_
 
-#include <cstdint>
 #include <cstdio>
 #include <string>
-#include <string_view>
-#include <vector>
 
-#include "src/obs/metrics_export.h"
+#include "src/common/json.h"
 
 namespace slice {
-
-class JsonWriter {
- public:
-  JsonWriter& BeginObject() {
-    Prefix();
-    out_ += '{';
-    stack_.push_back(false);
-    return *this;
-  }
-  JsonWriter& EndObject() {
-    stack_.pop_back();
-    out_ += '}';
-    return *this;
-  }
-  JsonWriter& BeginArray() {
-    Prefix();
-    out_ += '[';
-    stack_.push_back(false);
-    return *this;
-  }
-  JsonWriter& EndArray() {
-    stack_.pop_back();
-    out_ += ']';
-    return *this;
-  }
-  JsonWriter& Key(std::string_view name) {
-    Prefix();
-    out_ += '"';
-    out_ += name;
-    out_ += "\":";
-    pending_key_ = true;
-    return *this;
-  }
-  JsonWriter& String(std::string_view value) {
-    Prefix();
-    out_ += '"';
-    out_ += value;
-    out_ += '"';
-    return *this;
-  }
-  JsonWriter& Int(int64_t value) {
-    Prefix();
-    out_ += std::to_string(value);
-    return *this;
-  }
-  JsonWriter& UInt(uint64_t value) {
-    Prefix();
-    out_ += std::to_string(value);
-    return *this;
-  }
-  JsonWriter& Fixed(double value, int decimals = 3) {
-    Prefix();
-    obs::AppendFixed(out_, value, decimals);
-    return *this;
-  }
-  // Splices an already-serialized JSON value (e.g. a metrics snapshot).
-  JsonWriter& Raw(std::string_view json) {
-    Prefix();
-    out_ += json;
-    return *this;
-  }
-
-  const std::string& str() const { return out_; }
-
- private:
-  // Emits the separating comma for the second and later values in the
-  // enclosing object/array. A value directly after Key() never takes one.
-  void Prefix() {
-    if (pending_key_) {
-      pending_key_ = false;
-      return;
-    }
-    if (!stack_.empty()) {
-      if (stack_.back()) {
-        out_ += ',';
-      }
-      stack_.back() = true;
-    }
-  }
-
-  std::string out_;
-  std::vector<bool> stack_;
-  bool pending_key_ = false;
-};
 
 // Writes `json` to BENCH_<name>.json in the working directory (or to `path`
 // when non-empty). Returns true on success.

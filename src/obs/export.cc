@@ -3,20 +3,10 @@
 #include <algorithm>
 
 #include "src/common/hash.h"
+#include "src/common/json.h"
 
 namespace slice::obs {
 namespace {
-
-// Microsecond timestamp with nanosecond fraction, formatted from integers so
-// the output never depends on floating-point printing.
-void AppendMicros(std::string& out, SimTime ns) {
-  out += std::to_string(ns / 1000);
-  out += '.';
-  const uint64_t frac = ns % 1000;
-  out += static_cast<char>('0' + frac / 100);
-  out += static_cast<char>('0' + (frac / 10) % 10);
-  out += static_cast<char>('0' + frac % 10);
-}
 
 void HashU64(uint64_t& h, uint64_t v) {
   h = Fnv1a64(ByteSpan(reinterpret_cast<const uint8_t*>(&v), sizeof(v)), h);
@@ -44,45 +34,27 @@ std::vector<Span> CanonicalOrder(std::vector<Span> spans) {
 }
 
 std::string ExportChromeTrace(const std::vector<Span>& spans) {
-  const std::vector<Span> ordered = CanonicalOrder(spans);
-  std::string out;
-  out.reserve(ordered.size() * 160 + 64);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  for (const Span& span : ordered) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += "{\"name\":\"";
-    out += span.name_view();
-    out += "\",\"cat\":\"";
-    out += SpanCatName(span.cat);
-    out += "\",\"ph\":\"";
-    out += span.instant ? 'i' : 'X';
-    out += "\",\"ts\":";
-    AppendMicros(out, span.start);
+  // Timestamps are microseconds with a nanosecond fraction, rendered from
+  // integers so the output never depends on floating-point printing.
+  JsonWriter w;
+  w.BeginObject().Key("traceEvents").BeginArray();
+  for (const Span& span : CanonicalOrder(spans)) {
+    w.BeginObject().Key("name").String(span.name_view()).Key("cat").String(SpanCatName(span.cat));
+    w.Key("ph").String(span.instant ? "i" : "X").Key("ts").Decimal(span.start, 3);
     if (span.instant) {
-      out += ",\"s\":\"t\"";
+      w.Key("s").String("t");
     } else {
-      out += ",\"dur\":";
-      AppendMicros(out, span.end - span.start);
+      w.Key("dur").Decimal(span.end - span.start, 3);
     }
-    out += ",\"pid\":";
-    out += std::to_string(span.host);
-    out += ",\"tid\":";
-    out += std::to_string(span.trace_id);
-    out += ",\"args\":{\"span\":";
-    out += std::to_string(span.span_id);
-    out += ",\"parent\":";
-    out += std::to_string(span.parent_id);
+    w.Key("pid").UInt(span.host).Key("tid").UInt(span.trace_id);
+    w.Key("args").BeginObject().Key("span").UInt(span.span_id).Key("parent").UInt(span.parent_id);
     if (span.root) {
-      out += ",\"root\":1";
+      w.Key("root").UInt(1);
     }
-    out += "}}";
+    w.EndObject().EndObject();
   }
-  out += "]}";
-  return out;
+  w.EndArray().EndObject();
+  return w.Take();
 }
 
 uint64_t TraceContentHash(const std::vector<Span>& spans) {

@@ -153,7 +153,7 @@ void Profiler::ResetWall() {
   dropped_scopes_ = 0;
 }
 
-std::string Profiler::ExportProfileSimJson() const {
+void Profiler::WriteSimJson(JsonWriter& w) const {
   // Union of charged hosts and busy-reference hosts, ordered by address: a
   // host the provider knows about but the ledger never charged must still
   // show up (with coverage 0), or the coverage bar could be gamed.
@@ -170,24 +170,12 @@ std::string Profiler::ExportProfileSimJson() const {
     hosts.emplace(host, std::array<uint64_t, kNumLedgerCats>{});
   }
 
-  std::string out;
-  out.reserve(1 << 12);
   std::array<uint64_t, kNumLedgerCats> total{};
-  out += "{\"hosts\":[";
-  bool first = true;
+  w.BeginObject().Key("hosts").BeginArray();
   for (const auto& [host, cats] : hosts) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += "{\"host\":\"";
-    out += FormatHostAddr(host);
-    out += '"';
+    w.BeginObject().Key("host").String(FormatHostAddr(host));
     for (size_t c = 0; c < kNumLedgerCats; ++c) {
-      out += ",\"";
-      out += LedgerCatName(static_cast<LedgerCat>(c));
-      out += "\":";
-      out += std::to_string(cats[c]);
+      w.Key(LedgerCatName(static_cast<LedgerCat>(c))).UInt(cats[c]);
       total[c] += cats[c];
     }
     // Attributed busy time excludes queueing (waiting is not busy); the
@@ -199,26 +187,20 @@ std::string Profiler::ExportProfileSimJson() const {
     const uint64_t busy_ns = busy_it != busy.end() ? busy_it->second : 0;
     const uint64_t coverage_bp =
         busy_ns > 0 ? (attributed * 10000) / busy_ns : (attributed > 0 ? 10000 : 0);
-    out += ",\"attributed\":";
-    out += std::to_string(attributed);
-    out += ",\"busy\":";
-    out += std::to_string(busy_ns);
-    out += ",\"coverage_bp\":";
-    out += std::to_string(coverage_bp);
-    out += '}';
+    w.Key("attributed").UInt(attributed).Key("busy").UInt(busy_ns);
+    w.Key("coverage_bp").UInt(coverage_bp).EndObject();
   }
-  out += "],\"total\":{";
+  w.EndArray().Key("total").BeginObject();
   for (size_t c = 0; c < kNumLedgerCats; ++c) {
-    if (c > 0) {
-      out += ',';
-    }
-    out += '"';
-    out += LedgerCatName(static_cast<LedgerCat>(c));
-    out += "\":";
-    out += std::to_string(total[c]);
+    w.Key(LedgerCatName(static_cast<LedgerCat>(c))).UInt(total[c]);
   }
-  out += "}}";
-  return out;
+  w.EndObject().EndObject();
+}
+
+std::string Profiler::ExportProfileSimJson() const {
+  JsonWriter w;
+  WriteSimJson(w);
+  return w.Take();
 }
 
 namespace {
@@ -234,32 +216,19 @@ struct StackLine {
 
 }  // namespace
 
-void Profiler::AppendWallJson(std::string& out) const {
-  out += "{\"dropped\":";
-  out += std::to_string(dropped_scopes_);
-  out += ",\"scopes\":[";
-  bool first = true;
+void Profiler::WriteWallJson(JsonWriter& w) const {
+  w.BeginObject().Key("dropped").UInt(dropped_scopes_).Key("scopes").BeginArray();
   for (size_t s = 0; s < kNumProfScopes; ++s) {
     const ProfScope scope = static_cast<ProfScope>(s);
     const uint64_t count = ScopeCount(scope);
     if (count == 0) {
       continue;
     }
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += "{\"name\":\"";
-    out += ProfScopeName(scope);
-    out += "\",\"count\":";
-    out += std::to_string(count);
-    out += ",\"incl_ns\":";
-    out += std::to_string(ScopeInclusiveNs(scope));
-    out += ",\"excl_ns\":";
-    out += std::to_string(ScopeExclusiveNs(scope));
-    out += '}';
+    w.BeginObject().Key("name").String(ProfScopeName(scope)).Key("count").UInt(count);
+    w.Key("incl_ns").UInt(ScopeInclusiveNs(scope)).Key("excl_ns").UInt(ScopeExclusiveNs(scope));
+    w.EndObject();
   }
-  out += "],\"stacks\":[";
+  w.EndArray().Key("stacks").BeginArray();
   std::vector<StackLine> lines;
   for (uint32_t i = 1; i < node_count_; ++i) {
     if (nodes_[i].count == 0) {
@@ -283,32 +252,27 @@ void Profiler::AppendWallJson(std::string& out) const {
   }
   std::sort(lines.begin(), lines.end(),
             [](const StackLine& a, const StackLine& b) { return a.path < b.path; });
-  first = true;
   for (const StackLine& line : lines) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += "{\"stack\":\"";
-    out += line.path;
-    out += "\",\"count\":";
-    out += std::to_string(line.count);
-    out += ",\"ns\":";
-    out += std::to_string(line.excl_ns);
-    out += '}';
+    w.BeginObject().Key("stack").String(line.path).Key("count").UInt(line.count);
+    w.Key("ns").UInt(line.excl_ns).EndObject();
   }
-  out += "]}";
+  w.EndArray().EndObject();
+}
+
+void Profiler::WriteProfileJson(JsonWriter& w) const {
+  w.BeginObject().Key("sim");
+  WriteSimJson(w);
+  w.Key("wall");
+  WriteWallJson(w);
+  w.EndObject();
 }
 
 std::string Profiler::ExportProfileJson() const {
-  std::string out;
-  out.reserve(1 << 13);
-  out += "{\"profile\":{\"sim\":";
-  out += ExportProfileSimJson();
-  out += ",\"wall\":";
-  AppendWallJson(out);
-  out += "}}";
-  return out;
+  JsonWriter w;
+  w.BeginObject().Key("profile");
+  WriteProfileJson(w);
+  w.EndObject();
+  return w.Take();
 }
 
 std::string Profiler::ExportProfileFolded() const {

@@ -35,6 +35,7 @@
 #include <string>
 #include <string_view>
 
+#include "src/common/json.h"
 #include "src/sim/event_queue.h"
 
 namespace slice::obs {
@@ -200,6 +201,9 @@ class Profiler {
   // Full {"profile":{"sim":...,"wall":...}} object (wall ns values are
   // machine-dependent — out of every pinned hash).
   std::string ExportProfileJson() const;
+  // The inner {"sim":...,"wall":...} object as one value into `w` (the
+  // flight dump nests it under its own key).
+  void WriteProfileJson(JsonWriter& w) const;
   // Collapsed-stack rendering ("a;b;c <exclusive_ns>" lines, sorted) for
   // FlameGraph / speedscope.
   std::string ExportProfileFolded() const;
@@ -260,7 +264,8 @@ class Profiler {
   }
 
   void Calibrate();
-  void AppendWallJson(std::string& out) const;
+  void WriteSimJson(JsonWriter& w) const;
+  void WriteWallJson(JsonWriter& w) const;
 
   Node nodes_[kMaxNodes];
   uint32_t node_count_ = 1;  // node 0 is the synthetic root

@@ -1,5 +1,5 @@
 // Unit tests for src/common: status, MD5 (RFC 1321 vectors), checksums,
-// hashing, RNG determinism.
+// hashing, RNG determinism, the JSON writer.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,6 +8,7 @@
 #include "src/common/bytes.h"
 #include "src/common/hash.h"
 #include "src/common/inet_checksum.h"
+#include "src/common/json.h"
 #include "src/common/md5.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -253,6 +254,57 @@ TEST(BytesTest, HexDumpTruncates) {
   const std::string dump = HexDump(data, 4);
   EXPECT_EQ(dump.substr(0, 8), "abababab");
   EXPECT_NE(dump.find("100 bytes"), std::string::npos);
+}
+
+TEST(JsonWriterTest, CommasAcrossNestedObjectsAndArrays) {
+  JsonWriter w;
+  w.BeginObject().Key("a").UInt(1).Key("b").BeginArray();
+  w.Int(-2).BeginObject().EndObject().BeginArray().UInt(3).UInt(4).EndArray().EndArray();
+  w.Key("c").BeginObject().Key("d").String("e").EndObject().EndObject();
+  EXPECT_EQ(w.str(), R"({"a":1,"b":[-2,{},[3,4]],"c":{"d":"e"}})");
+}
+
+TEST(JsonWriterTest, ContainerDirectlyAfterKeyTakesNoComma) {
+  JsonWriter w;
+  w.BeginObject().Key("x").BeginArray().EndArray().Key("y").BeginObject().Key("z");
+  w.BeginArray().UInt(0).EndArray().EndObject().EndObject();
+  EXPECT_EQ(w.str(), R"({"x":[],"y":{"z":[0]}})");
+}
+
+TEST(JsonWriterTest, KeysAndStringsAreEscaped) {
+  const std::string raw = std::string("q\"b\\n\nc") + '\x01';
+  const std::string escaped = R"(q\"b\\n\nc\u0001)";
+  JsonWriter w;
+  w.BeginObject().Key(raw).String(raw).EndObject();
+  EXPECT_EQ(w.str(), "{\"" + escaped + "\":\"" + escaped + "\"}");
+}
+
+TEST(JsonWriterTest, DecimalRendersMicrosFromNanos) {
+  JsonWriter w;
+  w.BeginArray().Decimal(5, 3).Decimal(1234567, 3).Decimal(0, 3).Decimal(42, 0).EndArray();
+  EXPECT_EQ(w.str(), "[0.005,1234.567,0.000,42]");
+}
+
+TEST(JsonWriterTest, FixedRoundsAndKeepsSign) {
+  JsonWriter w;
+  w.BeginArray().Fixed(2.0625).Fixed(-1.25, 1).Fixed(-0.0001, 2).Fixed(7.0).Fixed(0.5, 0);
+  w.Fixed(1.0, 12).EndArray();
+  EXPECT_EQ(w.str(), "[2.063,-1.3,-0.00,7.000,1,1.000000000]");
+}
+
+TEST(ExportTest, AppendFixedIsLocaleIndependentIntegerMath) {
+  std::string out;
+  AppendFixed(out, 3.14159, 3);
+  EXPECT_EQ(out, "3.142");
+  out.clear();
+  AppendFixed(out, -2.5, 1);
+  EXPECT_EQ(out, "-2.5");
+  out.clear();
+  AppendFixed(out, 42.0, 0);
+  EXPECT_EQ(out, "42");
+  out.clear();
+  AppendFixed(out, 0.125, 2);
+  EXPECT_EQ(out, "0.13");
 }
 
 }  // namespace
